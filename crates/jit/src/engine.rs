@@ -15,13 +15,13 @@
 //! property of §V.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use jitbull::{decide, decide_observed, ComparatorMode, Decision, DnaMemo, ExtractorMode, Guard};
 use jitbull_chaos::{FaultInjector, Quarantine};
 use jitbull_frontend::parse_program;
+use jitbull_lir::IonCode;
 use jitbull_mir::build_mir;
 use jitbull_telemetry::{Collector, Event, Tier};
 use jitbull_vm::bytecode::{FuncId, Module};
@@ -29,30 +29,8 @@ use jitbull_vm::interp;
 use jitbull_vm::runtime::{ExploitStatus, Outcome, Runtime, BASELINE_COST, INTERP_COST};
 use jitbull_vm::{compile_program, Dispatcher, Value, VmError};
 
-use crate::executor::CompiledCode;
 use crate::pipeline::{optimize, slot_disableable, OptimizeOptions, N_SLOTS};
 use crate::vuln::VulnConfig;
-
-/// Which form the optimizing tier executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Full pipeline (paper Figure 1 steps ⑤–⑦): optimized MIR is
-    /// lowered to register-allocated LIR and the LIR executes.
-    #[default]
-    Lir,
-    /// Execute the optimized MIR directly (skips the backend; useful for
-    /// differential testing of the LIR layer).
-    Mir,
-}
-
-/// Optimizing-tier code in whichever backend form was selected.
-#[derive(Debug)]
-pub enum CompiledTier {
-    /// Register-allocated LIR.
-    Lir(jitbull_lir::LFunction),
-    /// Indexed optimized MIR.
-    Mir(CompiledCode),
-}
 
 /// Cycle cost charged per bytecode op for a baseline compilation.
 const BASELINE_COMPILE_COST: u64 = 15;
@@ -80,8 +58,6 @@ pub struct EngineConfig {
     /// Pipeline slots to skip unconditionally (debugging / ablations —
     /// e.g. "run everything without GVN"). Mandatory slots still run.
     pub disabled_slots: std::collections::HashSet<usize>,
-    /// Optimizing-tier backend (LIR by default).
-    pub backend: Backend,
     /// Which Δ-comparator implementation the guard uses (indexed by
     /// default; `Reference` runs the naive normative Algorithm 2 loop).
     pub comparator: ComparatorMode,
@@ -117,7 +93,6 @@ impl Default for EngineConfig {
             whole_jit_policy: false,
             fuel: 500_000_000,
             disabled_slots: std::collections::HashSet::new(),
-            backend: Backend::default(),
             comparator: ComparatorMode::default(),
             extractor: ExtractorMode::default(),
             memo: DnaMemo::default(),
@@ -177,7 +152,7 @@ pub struct FunctionStats {
 struct FuncState {
     invocations: u64,
     baseline: bool,
-    ion: Option<Rc<CompiledTier>>,
+    ion: Option<Rc<IonCode>>,
     no_ion: bool,
     /// Watchdog verdict: this function runs interpreter-only, no
     /// baseline, no Ion, no further compile attempts.
@@ -187,12 +162,24 @@ struct FuncState {
     matched: Vec<(String, String)>,
 }
 
+/// `func`'s entry in a [`FuncId`]-indexed state table, growing the table
+/// on first sight.
+fn state_of(state: &mut Vec<FuncState>, func: FuncId) -> &mut FuncState {
+    let i = func.0 as usize;
+    if i >= state.len() {
+        state.resize_with(i + 1, FuncState::default);
+    }
+    &mut state[i]
+}
+
 /// The tiered engine. Implements [`Dispatcher`], so it can be handed to
 /// `interp::run_module` directly.
 pub struct Engine {
     config: EngineConfig,
     guard: Option<Guard>,
-    state: HashMap<FuncId, FuncState>,
+    /// Per-function tier state, indexed by [`FuncId`]; functions never
+    /// called keep the default (zero invocations) entry.
+    state: Vec<FuncState>,
     /// Cycles spent in JITBULL analysis (reported separately for the
     /// overhead breakdowns).
     pub analysis_cycles: u64,
@@ -211,7 +198,7 @@ impl Engine {
         Engine {
             config,
             guard: None,
-            state: HashMap::new(),
+            state: Vec::new(),
             analysis_cycles: 0,
             compile_failures: 0,
             watchdog_expiries: 0,
@@ -234,7 +221,7 @@ impl Engine {
         Engine {
             config,
             guard: Some(guard),
-            state: HashMap::new(),
+            state: Vec::new(),
             analysis_cycles: 0,
             compile_failures: 0,
             watchdog_expiries: 0,
@@ -288,8 +275,10 @@ impl Engine {
         let mut stats: Vec<FunctionStats> = self
             .state
             .iter()
+            .enumerate()
+            .filter(|(_, st)| st.invocations > 0)
             .map(|(fid, st)| FunctionStats {
-                name: module.function(*fid).name.clone(),
+                name: module.function(FuncId(fid as u32)).name.clone(),
                 invocations: st.invocations,
                 tier: if st.pinned_interp {
                     TierStats::Interpreter
@@ -319,7 +308,7 @@ impl Engine {
     /// the paper's `Nr_JIT`.
     pub fn nr_jit(&self) -> usize {
         self.state
-            .values()
+            .iter()
             .filter(|s| s.ion.is_some() || s.no_ion)
             .count()
     }
@@ -327,14 +316,14 @@ impl Engine {
     /// Functions whose compilation had ≥1 pass disabled (`Nr_DisJIT`).
     pub fn nr_disjit(&self) -> usize {
         self.state
-            .values()
+            .iter()
             .filter(|s| s.ion.is_some() && !s.disabled_slots.is_empty())
             .count()
     }
 
     /// Functions whose optimizing JIT was vetoed entirely (`Nr_NoJIT`).
     pub fn nr_nojit(&self) -> usize {
-        self.state.values().filter(|s| s.no_ion).count()
+        self.state.iter().filter(|s| s.no_ion).count()
     }
 
     /// Watchdog expiry: charge the budget remainder (the watchdog bounds
@@ -361,7 +350,7 @@ impl Engine {
             function: name.to_owned(),
             cause: "watchdog",
         });
-        let st = self.state.entry(func).or_default();
+        let st = state_of(&mut self.state, func);
         st.no_ion = true;
         st.pinned_interp = true;
         st.matched = matched;
@@ -395,7 +384,7 @@ impl Engine {
                 function: name.to_owned(),
                 strikes,
             });
-            self.state.entry(func).or_default().no_ion = true;
+            state_of(&mut self.state, func).no_ion = true;
         }
     }
 
@@ -404,7 +393,7 @@ impl Engine {
         // Quarantined functions are pinned no-go: their compilations keep
         // blowing up, so we stop feeding them to the pipeline.
         if self.config.quarantine.is_quarantined(&name) {
-            self.state.entry(func).or_default().no_ion = true;
+            state_of(&mut self.state, func).no_ion = true;
             return;
         }
         let jitbull_active = self.guard.as_ref().map(Guard::enabled).unwrap_or(false);
@@ -424,7 +413,7 @@ impl Engine {
                 tier: Tier::Ion,
             });
             let Ok(mir) = build_mir(module, func) else {
-                self.state.entry(func).or_default().no_ion = true;
+                state_of(&mut self.state, func).no_ion = true;
                 return;
             };
             let options = OptimizeOptions {
@@ -474,7 +463,7 @@ impl Engine {
                     function: name.clone(),
                     cause: "broken",
                 });
-                self.state.entry(func).or_default().no_ion = true;
+                state_of(&mut self.state, func).no_ion = true;
                 return;
             }
             let mut fired: Vec<String> = result
@@ -488,8 +477,8 @@ impl Engine {
                     function: module.function(func).name.clone(),
                     tier: Tier::Ion,
                 });
-                let tier = Rc::new(self.build_tier(result.mir));
-                let st = self.state.entry(func).or_default();
+                let tier = Rc::new(jitbull_lir::compile(&result.mir));
+                let st = state_of(&mut self.state, func);
                 st.ion = Some(tier);
                 st.vulns_fired = fired;
                 return;
@@ -542,7 +531,7 @@ impl Engine {
                         v
                     };
                     if !jitbull_slots.is_empty() && self.config.whole_jit_policy {
-                        let st = self.state.entry(func).or_default();
+                        let st = state_of(&mut self.state, func);
                         st.disabled_slots = jitbull_slots;
                         st.matched = matched;
                         st.no_ion = true;
@@ -552,8 +541,8 @@ impl Engine {
                         function: module.function(func).name.clone(),
                         tier: Tier::Ion,
                     });
-                    let tier = Rc::new(self.build_tier(result.mir));
-                    let st = self.state.entry(func).or_default();
+                    let tier = Rc::new(jitbull_lir::compile(&result.mir));
+                    let st = state_of(&mut self.state, func);
                     st.disabled_slots = jitbull_slots;
                     st.matched = matched;
                     st.ion = Some(tier);
@@ -565,7 +554,7 @@ impl Engine {
                     // loop: recompile and re-analyze
                 }
                 Decision::NoJit(slots) => {
-                    let st = self.state.entry(func).or_default();
+                    let st = state_of(&mut self.state, func);
                     let mut all: Vec<usize> = disabled
                         .iter()
                         .copied()
@@ -583,16 +572,9 @@ impl Engine {
         }
         // Could not reach a clean compilation within the round budget:
         // conservative no-Ion fallback.
-        let st = self.state.entry(func).or_default();
+        let st = state_of(&mut self.state, func);
         st.no_ion = true;
         st.matched = matched;
-    }
-
-    fn build_tier(&self, mir: jitbull_mir::MirFunction) -> CompiledTier {
-        match self.config.backend {
-            Backend::Lir => CompiledTier::Lir(jitbull_lir::compile(&mir)),
-            Backend::Mir => CompiledTier::Mir(CompiledCode::new(mir)),
-        }
     }
 
     /// Parses, compiles and runs a source program under this engine
@@ -668,6 +650,57 @@ pub struct EngineOutcome {
     pub watchdog_expiries: u64,
 }
 
+impl Engine {
+    /// Counts an invocation of `func`, promotes it (compiling as the
+    /// thresholds say), and returns the tier to run it in: optimized
+    /// code, or the per-op cost to interpret it at.
+    fn enter(
+        &mut self,
+        rt: &mut Runtime,
+        module: &Module,
+        func: FuncId,
+    ) -> (Option<Rc<IonCode>>, u64) {
+        let st = state_of(&mut self.state, func);
+        st.invocations += 1;
+        let inv = st.invocations;
+        if self.config.jit_enabled && !st.pinned_interp {
+            let mut promoted_baseline = false;
+            if !st.baseline && inv >= self.config.baseline_threshold {
+                st.baseline = true;
+                rt.add_cycles(module.function(func).len() as u64 * BASELINE_COMPILE_COST);
+                promoted_baseline = true;
+            }
+            let needs_ion =
+                st.baseline && st.ion.is_none() && !st.no_ion && inv >= self.config.ion_threshold;
+            if promoted_baseline {
+                self.emit(|| Event::CompileStarted {
+                    function: module.function(func).name.clone(),
+                    tier: Tier::Baseline,
+                });
+                self.emit(|| Event::TierPromoted {
+                    function: module.function(func).name.clone(),
+                    tier: Tier::Baseline,
+                });
+            }
+            if needs_ion {
+                self.compile_ion(rt, module, func);
+            }
+        }
+        let st = &self.state[func.0 as usize];
+        if st.pinned_interp {
+            // Watchdog verdict: interpreter-only, whatever tiers the
+            // function had reached before.
+            (None, INTERP_COST)
+        } else {
+            match (&st.ion, st.baseline) {
+                (Some(code), _) => (Some(Rc::clone(code)), 0),
+                (None, true) => (None, BASELINE_COST),
+                (None, false) => (None, INTERP_COST),
+            }
+        }
+    }
+}
+
 impl Dispatcher for Engine {
     fn call(
         &mut self,
@@ -677,54 +710,26 @@ impl Dispatcher for Engine {
         this: Value,
         args: Vec<Value>,
     ) -> Result<Value, VmError> {
-        let (tier_code, cost) = {
-            let st = self.state.entry(func).or_default();
-            st.invocations += 1;
-            let inv = st.invocations;
-            if self.config.jit_enabled && !st.pinned_interp {
-                let mut promoted_baseline = false;
-                if !st.baseline && inv >= self.config.baseline_threshold {
-                    st.baseline = true;
-                    rt.add_cycles(module.function(func).len() as u64 * BASELINE_COMPILE_COST);
-                    promoted_baseline = true;
-                }
-                let needs_ion = st.baseline
-                    && st.ion.is_none()
-                    && !st.no_ion
-                    && inv >= self.config.ion_threshold;
-                if promoted_baseline {
-                    self.emit(|| Event::CompileStarted {
-                        function: module.function(func).name.clone(),
-                        tier: Tier::Baseline,
-                    });
-                    self.emit(|| Event::TierPromoted {
-                        function: module.function(func).name.clone(),
-                        tier: Tier::Baseline,
-                    });
-                }
-                if needs_ion {
-                    self.compile_ion(rt, module, func);
-                }
+        match self.enter(rt, module, func) {
+            (Some(code), _) => jitbull_lir::run(&code, rt, module, this, &args, self),
+            (None, cost) => interp::run_function(rt, module, func, this, args, self, cost),
+        }
+    }
+
+    fn call_on_stack(
+        &mut self,
+        rt: &mut Runtime,
+        module: &Module,
+        func: FuncId,
+        this: Value,
+        argc: usize,
+    ) -> Result<Value, VmError> {
+        match self.enter(rt, module, func) {
+            (Some(code), _) => jitbull_lir::run_on_stack(&code, rt, module, this, argc, self),
+            (None, cost) => {
+                let args = rt.stack.split_off(rt.stack.len() - argc);
+                interp::run_function(rt, module, func, this, args, self, cost)
             }
-            let st = self.state.entry(func).or_default();
-            if st.pinned_interp {
-                // Watchdog verdict: interpreter-only, whatever tiers the
-                // function had reached before.
-                (None, INTERP_COST)
-            } else {
-                match (&st.ion, st.baseline) {
-                    (Some(code), _) => (Some(Rc::clone(code)), 0),
-                    (None, true) => (None, BASELINE_COST),
-                    (None, false) => (None, INTERP_COST),
-                }
-            }
-        };
-        match tier_code {
-            Some(code) => match &*code {
-                CompiledTier::Lir(lf) => jitbull_lir::run(lf, rt, module, this, &args, self),
-                CompiledTier::Mir(mc) => crate::executor::run(mc, rt, module, this, &args, self),
-            },
-            None => interp::run_function(rt, module, func, this, args, self, cost),
         }
     }
 }

@@ -15,8 +15,6 @@
 //!   triggers. With a vulnerability enabled, the corresponding exploit
 //!   pattern really does lose its `boundscheck`/`unbox` guard and really
 //!   does corrupt the simulated heap.
-//! * [`executor`] — runs optimized MIR with raw (unchecked) element
-//!   accesses wherever guards vouch for them — or were wrongly removed.
 //! * [`engine`] — invocation counting, tier promotion (interpreter at
 //!   cost 10/op → baseline at 100 calls, cost 4/op → optimizing tier at
 //!   1500 calls, cost 1/op), compile-cost charging, JITBULL guard
@@ -39,8 +37,9 @@
 //! # Ok::<(), jitbull_vm::VmError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
-pub mod executor;
 pub mod passes;
 pub mod pipeline;
 pub mod vuln;

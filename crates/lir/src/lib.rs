@@ -17,15 +17,18 @@
 //!   16 simulated machine registers run out;
 //! * [`passes`] — LIR-level cleanups (redundant-move elimination, jump
 //!   threading through empty blocks);
-//! * [`exec`] — the LIR executor: a register machine over
-//!   [`jitbull_vm::Value`] cells with the same raw-vs-guarded memory
-//!   semantics as the MIR executor, so removed `boundscheck`/`unbox`
-//!   guards stay exploitable end to end.
+//! * [`exec`] — decoding to the executable form ([`IonCode`]: flat
+//!   instruction array, frame-slot operands, ready constants) and its
+//!   executor, which keeps frames on the runtime's value stack and the
+//!   same raw-vs-guarded memory semantics as the MIR, so removed
+//!   `boundscheck`/`unbox` guards stay exploitable end to end.
 //!
 //! JITBULL itself never sees LIR — the paper instruments the MIR
 //! optimization passes only (§V: "specifically within the optimization
 //! passes for MIR code") — but the engine's optimizing tier runs the
 //! LIR produced here, completing the compilation pipeline.
+
+#![forbid(unsafe_code)]
 
 pub mod exec;
 pub mod lir;
@@ -33,16 +36,16 @@ pub mod lower;
 pub mod passes;
 pub mod regalloc;
 
-pub use exec::run;
+pub use exec::{run, run_on_stack, IonCode};
 pub use lir::{GuardRefs, LBlockId, LFunction, LInstr, LOp, Loc, VReg};
 pub use lower::lower;
 pub use regalloc::{allocate, Allocation};
 
 use jitbull_mir::MirFunction;
 
-/// Compiles optimized MIR all the way to executable, register-allocated
-/// LIR (lower → LIR passes → register allocation).
-pub fn compile(mir: &MirFunction) -> LFunction {
+/// Runs the backend up to register allocation (lower → LIR passes →
+/// register allocation → move elimination), returning inspectable LIR.
+pub fn lower_and_allocate(mir: &MirFunction) -> LFunction {
     let mut f = lower(mir);
     passes::thread_jumps(&mut f);
     let allocation = allocate(&f);
@@ -50,4 +53,10 @@ pub fn compile(mir: &MirFunction) -> LFunction {
     // Move elimination is location-aware, so it runs post-allocation.
     passes::eliminate_redundant_moves(&mut f);
     f
+}
+
+/// Compiles optimized MIR all the way to executable code: the
+/// register-allocated LIR of [`lower_and_allocate`], decoded once.
+pub fn compile(mir: &MirFunction) -> IonCode {
+    IonCode::decode(&lower_and_allocate(mir))
 }

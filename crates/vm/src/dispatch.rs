@@ -28,6 +28,26 @@ pub trait Dispatcher {
         this: Value,
         args: Vec<Value>,
     ) -> Result<Value, VmError>;
+
+    /// Like [`Dispatcher::call`], with the arguments being the top `argc`
+    /// values of [`Runtime::stack`], which the call removes. The default
+    /// moves them into a `Vec` for [`Dispatcher::call`]; a tier that runs
+    /// on the value stack can use them in place.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`VmError`] raised during execution.
+    fn call_on_stack(
+        &mut self,
+        rt: &mut Runtime,
+        module: &Module,
+        func: FuncId,
+        this: Value,
+        argc: usize,
+    ) -> Result<Value, VmError> {
+        let args = rt.stack.split_off(rt.stack.len() - argc);
+        self.call(rt, module, func, this, args)
+    }
 }
 
 /// The interpreter-only dispatcher (models a browser with the JIT engine

@@ -87,6 +87,7 @@ impl Heap {
         id
     }
 
+    #[inline]
     fn meta(&self, arr: ArrId) -> ArrayMeta {
         self.arrays[arr.0 as usize]
     }
@@ -98,12 +99,14 @@ impl Heap {
 
     /// The cell address of element `idx` (no checks — address arithmetic
     /// only).
+    #[inline]
     pub fn elem_addr(&self, arr: ArrId, idx: usize) -> usize {
         self.meta(arr).base + 2 + idx
     }
 
     /// The array's current length, as stored in its (corruptible) header
     /// cell. A corrupted header yields whatever number the attacker wrote.
+    #[inline]
     pub fn length(&self, arr: ArrId) -> usize {
         let base = self.meta(arr).base;
         let n = self.cells[base].to_number();
@@ -218,10 +221,21 @@ impl Heap {
     /// # Errors
     ///
     /// [`VmError::Crash`] when `addr` is outside the heap.
+    #[inline]
     pub fn raw_read(&self, addr: usize) -> Result<Value, VmError> {
+        self.raw_cell(addr).cloned()
+    }
+
+    /// The cell at `addr`, by reference: [`Heap::raw_read`] without the
+    /// copy.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Crash`] when `addr` is outside the heap.
+    #[inline]
+    pub fn raw_cell(&self, addr: usize) -> Result<&Value, VmError> {
         self.cells
             .get(addr)
-            .cloned()
             .ok_or_else(|| VmError::Crash(format!("wild read at cell {addr}")))
     }
 
@@ -230,14 +244,23 @@ impl Heap {
     /// # Errors
     ///
     /// [`VmError::Crash`] when `addr` is outside the heap.
+    #[inline]
     pub fn raw_write(&mut self, addr: usize, value: Value) -> Result<(), VmError> {
-        match self.cells.get_mut(addr) {
-            Some(cell) => {
-                *cell = value;
-                Ok(())
-            }
-            None => Err(VmError::Crash(format!("wild write at cell {addr}"))),
-        }
+        *self.raw_cell_mut(addr)? = value;
+        Ok(())
+    }
+
+    /// The cell at `addr`, for writing in place: [`Heap::raw_write`]
+    /// leaving the store to the caller.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Crash`] when `addr` is outside the heap.
+    #[inline]
+    pub fn raw_cell_mut(&mut self, addr: usize) -> Result<&mut Value, VmError> {
+        self.cells
+            .get_mut(addr)
+            .ok_or_else(|| VmError::Crash(format!("wild write at cell {addr}")))
     }
 
     /// Collects the elements of an array into a vector (checked reads).

@@ -117,25 +117,30 @@ fn run_frame(
                 }
             }
             Op::Return => return Ok(pop!()),
+            // Arguments travel on the runtime's value stack, so a callee
+            // in optimized code takes them without an allocation.
             Op::Call(argc) => {
-                let call_args = split_args(&mut stack, *argc);
+                push_args(rt, &mut stack, *argc);
                 let callee = pop!();
+                let argc = *argc as usize;
                 let result =
-                    invoke_value(rt, module, callee, Value::Undefined, call_args, dispatcher)?;
+                    invoke_value_on_stack(rt, module, callee, Value::Undefined, argc, dispatcher)?;
                 stack.push(result);
             }
             Op::CallMethod(argc) => {
-                let call_args = split_args(&mut stack, *argc);
+                push_args(rt, &mut stack, *argc);
                 let callee = pop!();
                 let base = pop!();
-                let result = invoke_value(rt, module, callee, base, call_args, dispatcher)?;
+                let argc = *argc as usize;
+                let result = invoke_value_on_stack(rt, module, callee, base, argc, dispatcher)?;
                 stack.push(result);
             }
             Op::New(argc) => {
-                let call_args = split_args(&mut stack, *argc);
+                push_args(rt, &mut stack, *argc);
                 let callee = pop!();
                 let obj = Value::Object(rt.alloc_object());
-                invoke_value(rt, module, callee, obj.clone(), call_args, dispatcher)?;
+                let argc = *argc as usize;
+                invoke_value_on_stack(rt, module, callee, obj.clone(), argc, dispatcher)?;
                 stack.push(obj);
             }
             Op::NewArray(n) => {
@@ -217,6 +222,12 @@ fn run_frame(
     }
 }
 
+/// Moves the top `argc` operands onto the runtime's value stack.
+fn push_args(rt: &mut Runtime, stack: &mut Vec<Value>, argc: u8) {
+    let at = stack.len() - argc as usize;
+    rt.stack.extend(stack.drain(at..));
+}
+
 fn split_args(stack: &mut Vec<Value>, argc: u8) -> Vec<Value> {
     let at = stack.len() - argc as usize;
     stack.split_off(at)
@@ -254,6 +265,29 @@ pub fn invoke_value(
             "{} is not a function",
             other.kind_name()
         ))),
+    }
+}
+
+/// [`invoke_value`] with the arguments being the top `argc` values of
+/// [`Runtime::stack`], which the call removes.
+///
+/// # Errors
+///
+/// As [`invoke_value`].
+pub fn invoke_value_on_stack(
+    rt: &mut Runtime,
+    module: &Module,
+    callee: Value,
+    this: Value,
+    argc: usize,
+    dispatcher: &mut dyn Dispatcher,
+) -> Result<Value, VmError> {
+    match callee {
+        Value::Function(fid) => dispatcher.call_on_stack(rt, module, fid, this, argc),
+        other => {
+            let args = rt.stack.split_off(rt.stack.len() - argc);
+            invoke_value(rt, module, other, this, args, dispatcher)
+        }
     }
 }
 

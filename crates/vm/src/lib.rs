@@ -33,6 +33,8 @@
 //! # Ok::<(), jitbull_vm::error::VmError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bytecode;
 pub mod compiler;
 pub mod dispatch;
@@ -47,7 +49,7 @@ pub use compiler::compile_program;
 pub use dispatch::{Dispatcher, InterpDispatcher};
 pub use error::VmError;
 pub use heap::Heap;
-pub use runtime::{ExploitStatus, Outcome, Runtime};
+pub use runtime::{ExploitStatus, Meter, Outcome, Runtime};
 pub use value::Value;
 
 use jitbull_frontend::parse_program;

@@ -73,6 +73,35 @@ pub struct Outcome {
     pub status: ExploitStatus,
 }
 
+/// The cycle-model counters: cycles charged, operations executed, and
+/// fuel left. A field of [`Runtime`] of its own, so a tier can charge
+/// operations while it holds other parts of the runtime (its frame on
+/// [`Runtime::stack`], say).
+#[derive(Debug, Clone)]
+pub struct Meter {
+    cycles: u64,
+    ops: u64,
+    fuel: u64,
+}
+
+impl Meter {
+    /// Charges one executed operation at `cost` cycles.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::OutOfFuel`] when the fuel budget is exhausted.
+    #[inline]
+    pub fn consume_op(&mut self, cost: u64) -> Result<(), VmError> {
+        if self.fuel == 0 {
+            return Err(VmError::OutOfFuel);
+        }
+        self.fuel -= 1;
+        self.ops += 1;
+        self.cycles += cost;
+        Ok(())
+    }
+}
+
 /// Mutable execution state shared by the interpreter, baseline, and
 /// optimizing tiers.
 #[derive(Debug)]
@@ -84,9 +113,13 @@ pub struct Runtime {
     objects: Vec<ObjectData>,
     /// Output of `print`.
     pub printed: Vec<String>,
-    cycles: u64,
-    ops: u64,
-    fuel: u64,
+    /// Frame slots of the optimizing tier's active invocations. Each
+    /// invocation appends its frame on entry and truncates back to its
+    /// base on exit, error exits included, so the depth outside any
+    /// optimized frame is always zero.
+    pub stack: Vec<Value>,
+    /// Cycles, operations and fuel.
+    pub meter: Meter,
     /// Exploit status; set by the VM when wild accesses or hijacked calls
     /// occur.
     pub status: ExploitStatus,
@@ -117,9 +150,12 @@ impl Runtime {
             globals: Vec::new(),
             objects: Vec::new(),
             printed: Vec::new(),
-            cycles: 0,
-            ops: 0,
-            fuel,
+            stack: Vec::new(),
+            meter: Meter {
+                cycles: 0,
+                ops: 0,
+                fuel,
+            },
             status: ExploitStatus::Clean,
             depth: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
@@ -145,34 +181,28 @@ impl Runtime {
     /// [`VmError::OutOfFuel`] when the fuel budget is exhausted.
     #[inline]
     pub fn consume_op(&mut self, cost: u64) -> Result<(), VmError> {
-        if self.fuel == 0 {
-            return Err(VmError::OutOfFuel);
-        }
-        self.fuel -= 1;
-        self.ops += 1;
-        self.cycles += cost;
-        Ok(())
+        self.meter.consume_op(cost)
     }
 
     /// Adds a lump-sum cycle charge (used for compilation and JITBULL
     /// analysis costs).
     pub fn add_cycles(&mut self, cycles: u64) {
-        self.cycles += cycles;
+        self.meter.cycles += cycles;
     }
 
     /// Total simulated cycles so far.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.meter.cycles
     }
 
     /// Operations executed so far (across all tiers).
     pub fn ops(&self) -> u64 {
-        self.ops
+        self.meter.ops
     }
 
     /// Remaining fuel.
     pub fn fuel(&self) -> u64 {
-        self.fuel
+        self.meter.fuel
     }
 
     /// Enters a call frame.
@@ -233,8 +263,8 @@ impl Runtime {
     pub fn into_outcome(self) -> Outcome {
         Outcome {
             printed: self.printed,
-            cycles: self.cycles,
-            ops: self.ops,
+            cycles: self.meter.cycles,
+            ops: self.meter.ops,
             status: self.status,
         }
     }

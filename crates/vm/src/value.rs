@@ -46,6 +46,7 @@ impl Value {
     }
 
     /// JavaScript truthiness.
+    #[inline]
     pub fn truthy(&self) -> bool {
         match self {
             Value::Number(n) => *n != 0.0 && !n.is_nan(),
@@ -57,6 +58,7 @@ impl Value {
     }
 
     /// Numeric coercion (`+x` in JS). Non-numeric references become NaN.
+    #[inline]
     pub fn to_number(&self) -> f64 {
         match self {
             Value::Number(n) => *n,
@@ -69,6 +71,7 @@ impl Value {
     }
 
     /// 32-bit signed integer coercion (`x | 0`).
+    #[inline]
     pub fn to_i32(&self) -> i32 {
         let n = self.to_number();
         if !n.is_finite() {
@@ -78,6 +81,7 @@ impl Value {
     }
 
     /// 32-bit unsigned integer coercion (`x >>> 0`).
+    #[inline]
     pub fn to_u32(&self) -> u32 {
         self.to_i32() as u32
     }

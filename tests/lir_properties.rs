@@ -1,17 +1,17 @@
 //! Randomized tests over the LIR backend, driven by the fuzz generator's
 //! program space: every generated program's functions must (a) lower to
 //! valid LIR, (b) receive a register allocation with no two overlapping
-//! live intervals sharing a register, and (c) execute identically on the
-//! LIR and MIR backends. Seeds are fixed, so every run checks the same
-//! programs.
+//! live intervals sharing a register, and (c) execute on the optimizing
+//! tier with the interpreter's printed output and exploit status. Seeds
+//! are fixed, so every run checks the same programs.
 
 use jitbull_frontend::parse_program;
 use jitbull_fuzzer::gen::{generate_complete, GenConfig};
-use jitbull_jit::engine::{Backend, Engine, EngineConfig};
+use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::pipeline::{optimize, OptimizeOptions};
 use jitbull_jit::VulnConfig;
 use jitbull_lir::regalloc::{allocate, verify};
-use jitbull_lir::{compile, lower};
+use jitbull_lir::{compile, lower, lower_and_allocate};
 use jitbull_mir::build_mir;
 use jitbull_vm::compile_program;
 
@@ -42,35 +42,51 @@ fn lowering_and_allocation_are_sound() {
                 verify(&lowered, &allocation),
                 "allocation overlap for seed {seed} fn {i}:\n{lowered}"
             );
-            // The full backend pipeline also ends valid.
-            let compiled = compile(&optimized.mir);
-            assert_eq!(compiled.validate(), Ok(()), "seed {seed}:\n{compiled}");
+            // The full backend pipeline also ends valid, and decodes to
+            // one executable instruction per reachable LIR instruction.
+            let allocated = lower_and_allocate(&optimized.mir);
+            assert_eq!(allocated.validate(), Ok(()), "seed {seed}:\n{allocated}");
+            let code = compile(&optimized.mir);
+            assert!(
+                !code.is_empty() && code.len() <= allocated.instr_count(),
+                "seed {seed}: {} decoded vs {} LIR instructions",
+                code.len(),
+                allocated.instr_count()
+            );
         }
     }
 }
 
 #[test]
-fn lir_and_mir_backends_agree() {
+fn lir_tier_agrees_with_interpreter() {
     for seed in 0..64u64 {
         let source = source_for(seed * 7_919 + 1);
-        let run = |backend: Backend| {
+        let run = |jit_enabled: bool| {
             Engine::run_source(
                 &source,
                 EngineConfig {
-                    backend,
+                    jit_enabled,
                     baseline_threshold: 3,
                     ion_threshold: 6,
                     fuel: 2_000_000,
                     ..Default::default()
                 },
             )
-            .map(|o| o.outcome.printed)
+            .map(|o| (o.outcome.printed, o.outcome.status, o.nr_jit))
             .map_err(|e| format!("{e}"))
         };
+        let (interp, lir) = (run(false), run(true));
+        let strip = |r: &Result<_, String>| r.clone().map(|(p, s, _)| (p, s));
         assert_eq!(
-            run(Backend::Mir),
-            run(Backend::Lir),
+            strip(&interp),
+            strip(&lir),
             "seed {seed}, source:\n{source}"
         );
+        if let Ok((_, _, nr_jit)) = lir {
+            assert!(
+                nr_jit > 0,
+                "seed {seed}: nothing reached the optimizing tier"
+            );
+        }
     }
 }
