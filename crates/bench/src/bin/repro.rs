@@ -6,6 +6,8 @@
 //! cargo run -p jitbull-bench --release --bin repro -- fig5
 //! ```
 
+#![forbid(unsafe_code)]
+
 use jitbull_bench::{ablation, chaos_bench, figures, obs, registry, render_table, security};
 
 fn main() {
@@ -138,7 +140,7 @@ fn fuzz() {
     let mut shrink_num = 0usize;
     let mut shrink_den = 0usize;
     for find in &report.finds {
-        let min = minimize(find, &vulns);
+        let min = minimize(find, &vulns).expect("campaign finds reproduce");
         shrink_num += min.source.len();
         shrink_den += find.source.len();
         if install_until_neutralized(&mut db, &min, &vulns, 6).expect("triage") {

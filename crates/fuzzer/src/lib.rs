@@ -22,6 +22,8 @@
 //!
 //! Everything is deterministic per seed, so campaigns are reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod harness;
 pub mod minimize;
@@ -31,4 +33,4 @@ pub use harness::{
     auto_install, install_until_neutralized, install_until_neutralized_observed, run_campaign,
     run_campaign_observed, CampaignReport, Find,
 };
-pub use minimize::minimize;
+pub use minimize::{minimize, MinimizeError};

@@ -2,6 +2,8 @@
 //! still compromises the runtime (fewer statements → fewer overlapping
 //! vulnerabilities → sharper DNA).
 
+use std::fmt;
+
 use jitbull_frontend::ast::Program;
 use jitbull_frontend::{parse_program, print_program};
 use jitbull_jit::engine::Engine;
@@ -48,16 +50,48 @@ fn remove(program: &Program, site: (Option<usize>, usize)) -> Program {
     p
 }
 
+/// Why a find could not be minimized.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MinimizeError {
+    /// The find's source does not parse.
+    Unparsable(String),
+    /// The find does not compromise the runtime to begin with, so there
+    /// is nothing to preserve while shrinking it.
+    NotReproducible,
+}
+
+impl fmt::Display for MinimizeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MinimizeError::Unparsable(e) => write!(f, "find does not parse: {e}"),
+            MinimizeError::NotReproducible => {
+                write!(
+                    f,
+                    "not reproducible: the find does not compromise the runtime"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for MinimizeError {}
+
 /// Greedy ddmin over whole statements: repeatedly delete any single
 /// statement whose removal keeps the program compromising, until no
 /// deletion survives. Returns the minimized find (unchanged when nothing
 /// can be removed).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the find's source no longer parses (harness invariant).
-pub fn minimize(find: &Find, vulns: &VulnConfig) -> Find {
-    let mut program = parse_program(&find.source).expect("find parses");
+/// [`MinimizeError::NotReproducible`] when the find does not compromise
+/// the runtime on a campaign engine with `vulns`;
+/// [`MinimizeError::Unparsable`] when its source does not parse.
+pub fn minimize(find: &Find, vulns: &VulnConfig) -> Result<Find, MinimizeError> {
+    let mut program =
+        parse_program(&find.source).map_err(|e| MinimizeError::Unparsable(e.to_string()))?;
+    if !still_compromises(&find.source, vulns) {
+        return Err(MinimizeError::NotReproducible);
+    }
     // Certain statements are load-bearing scaffolding the generator
     // always needs (returns keep bodies valid); statement removal that
     // breaks parsing/compiling simply fails the predicate.
@@ -76,11 +110,11 @@ pub fn minimize(find: &Find, vulns: &VulnConfig) -> Find {
             break;
         }
     }
-    Find {
+    Ok(Find {
         seed: find.seed,
         source: print_program(&program),
         outcome: find.outcome.clone(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -90,12 +124,21 @@ mod tests {
     use crate::run_campaign;
     use jitbull_vdc::VdcOutcome;
 
+    fn body_statements(source: &str) -> usize {
+        parse_program(source)
+            .unwrap()
+            .functions
+            .iter()
+            .map(|f| f.body.len())
+            .sum()
+    }
+
     #[test]
     fn minimized_find_still_compromises_and_is_smaller_or_equal() {
         let vulns = VulnConfig::all();
         let report = run_campaign(0, 96, &vulns).expect("campaign");
         let find = report.finds.first().expect("at least one find").clone();
-        let min = minimize(&find, &vulns);
+        let min = minimize(&find, &vulns).expect("a campaign find reproduces");
         assert!(
             still_compromises(&min.source, &vulns),
             "minimized program went benign:\n{}",
@@ -109,35 +152,35 @@ mod tests {
 
     #[test]
     fn minimization_strips_benign_filler() {
-        // A hand-made find with obvious filler statements.
+        let vulns = VulnConfig::all();
+        let report = run_campaign(0, 96, &vulns).expect("campaign");
+        let find = report.finds.first().expect("at least one find");
+        let min = minimize(find, &vulns).expect("a campaign find reproduces");
+        let (before, after) = (body_statements(&find.source), body_statements(&min.source));
+        assert!(
+            after < before,
+            "expected some statement to be removable ({before} -> {after})\n{}",
+            min.source
+        );
+    }
+
+    #[test]
+    fn benign_input_is_rejected_as_not_reproducible() {
         let vulns = VulnConfig::all();
         let source = generate_complete(&GenConfig {
             seed: 2,
             warmup: 20,
             body_len: 5,
         });
+        assert!(!still_compromises(&source, &vulns), "seed 2 became a find");
         let find = Find {
             seed: 2,
             source,
             outcome: VdcOutcome::Crashed(String::new()),
         };
-        let original_stmts = parse_program(&find.source)
-            .unwrap()
-            .functions
-            .iter()
-            .map(|f| f.body.len())
-            .sum::<usize>();
-        let min = minimize(&find, &vulns);
-        let min_stmts = parse_program(&min.source)
-            .unwrap()
-            .functions
-            .iter()
-            .map(|f| f.body.len())
-            .sum::<usize>();
-        assert!(
-            min_stmts < original_stmts,
-            "expected some statement to be removable ({original_stmts} -> {min_stmts})\n{}",
-            min.source
+        assert_eq!(
+            minimize(&find, &vulns).unwrap_err(),
+            MinimizeError::NotReproducible
         );
     }
 }

@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn loads_never_see_torn_pairs_under_concurrent_publishes() {
-        let cell = Arc::new(EpochCell::new(db_with("CVE-0").snapshot()));
+        let cell = Arc::new(EpochCell::new(db_with("CVE-1").snapshot()));
         // Publisher installs CVE-<epoch> so content encodes the epoch.
         let publisher = {
             let cell = Arc::clone(&cell);

@@ -35,7 +35,7 @@ fn main() -> Result<(), jitbull_vm::VmError> {
 
     let mut db = DnaDatabase::new();
     for find in report.finds.iter().take(6) {
-        let min = minimize(find, &vulns);
+        let min = minimize(find, &vulns).expect("campaign finds reproduce");
         println!(
             "seed {:>4}: {:?}; minimized {} -> {} bytes",
             find.seed,
