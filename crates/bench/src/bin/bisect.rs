@@ -2,6 +2,8 @@
 //! interpreter, find the minimal set of pipeline slots whose disabling
 //! fixes it (ddmin over `EngineConfig::disabled_slots`).
 
+#![forbid(unsafe_code)]
+
 use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::pipeline::{N_SLOTS, PIPELINE};
 

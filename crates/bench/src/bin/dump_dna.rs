@@ -1,6 +1,8 @@
 //! Developer tool: dump the per-slot JIT DNA of named functions in a
 //! workload or VDC (helps when tuning triggers or diagnosing matches).
 
+#![forbid(unsafe_code)]
+
 use jitbull::Guard;
 use jitbull_frontend::parse_program;
 use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};

@@ -21,6 +21,8 @@
 //! factor, where curves flatten) are the reproduction targets — see
 //! `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod chaos_bench;
 pub mod figures;

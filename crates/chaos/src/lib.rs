@@ -42,6 +42,8 @@
 //! assert_eq!(off.fire(FaultSite::DbLoad), None);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod breaker;
 mod injector;
 mod quarantine;

@@ -43,6 +43,8 @@
 //! assert!(!guard.enabled());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod compare;
 pub mod db;
 pub mod dna;

@@ -33,6 +33,8 @@
 //! # Ok::<(), jitbull_frontend::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

@@ -43,6 +43,8 @@
 //!
 //! [`Engine`]: jitbull_jit::engine::Engine
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod pool;
 pub mod queue;

@@ -26,6 +26,8 @@
 //! assert_eq!(again.gen_range(1..7u32), die);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// A seeded SplitMix64 generator.

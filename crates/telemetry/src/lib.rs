@@ -34,6 +34,8 @@
 //! assert_eq!(rec.events().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod export;
 pub mod metrics;

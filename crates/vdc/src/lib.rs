@@ -22,6 +22,8 @@
 //! [`validate`] runs a script against a configurable engine to classify
 //! the outcome.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod dna;
 pub mod validate;

@@ -17,6 +17,8 @@
 //! correctness across execution tiers (interpreter / baseline / Ion /
 //! Ion-with-disabled-passes) is testable by output comparison.
 
+#![forbid(unsafe_code)]
+
 pub mod runner;
 pub mod suite;
 

@@ -5,6 +5,8 @@
 //! through one dependency. See `README.md` for the repository tour and
 //! `DESIGN.md` for the system inventory.
 
+#![forbid(unsafe_code)]
+
 pub use jitbull;
 pub use jitbull_frontend as frontend;
 pub use jitbull_fuzzer as fuzzer;
