@@ -399,14 +399,12 @@ enum Ins {
 /// Optimized code in executable form (see the module docs).
 #[derive(Debug, Clone)]
 pub struct IonCode {
-    name: String,
     ins: Vec<Ins>,
     consts: Vec<Value>,
     names: Vec<Rc<str>>,
     /// Operand lists of calls, array literals, intrinsics and move runs.
     operands: Vec<u32>,
     frame_size: u32,
-    lir_len: usize,
 }
 
 impl IonCode {
@@ -455,13 +453,11 @@ impl IonCode {
             regs,
             flag_of,
             code: IonCode {
-                name: f.name.clone(),
                 ins: Vec::new(),
                 consts: Vec::new(),
                 names: Vec::new(),
                 operands: Vec::new(),
                 frame_size: size,
-                lir_len: 0,
             },
         };
         // Decode block by block with block ids as jump targets, then
@@ -475,7 +471,6 @@ impl IonCode {
                 f.name
             );
             offset[b] = d.code.ins.len() as u32;
-            d.code.lir_len += instrs.len();
             d.block(instrs);
         }
         for ins in &mut d.code.ins {
@@ -517,11 +512,6 @@ impl IonCode {
         d.code
     }
 
-    /// Source-level name, for diagnostics.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Decoded instructions (fused pairs count once).
     pub fn len(&self) -> usize {
         self.ins.len()
@@ -530,17 +520,6 @@ impl IonCode {
     /// Whether there are no instructions (never true for decoded code).
     pub fn is_empty(&self) -> bool {
         self.ins.is_empty()
-    }
-
-    /// LIR instructions the decoded code stands for: those of the blocks
-    /// reachable from the entry.
-    pub fn lir_len(&self) -> usize {
-        self.lir_len
-    }
-
-    /// Frame slots one invocation occupies on the value stack.
-    pub fn frame_size(&self) -> usize {
-        self.frame_size as usize
     }
 }
 

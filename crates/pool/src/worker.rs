@@ -219,13 +219,18 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
                 .collect();
             matched_cves.sort();
             matched_cves.dedup();
+            // Callers keep responses; trim the buffers that grew by
+            // doubling so each holds only its lines.
+            matched_cves.shrink_to_fit();
+            let mut printed = out.outcome.printed;
+            printed.shrink_to_fit();
             responder.send(Ok(PoolResponse {
                 worker: ctx.index,
                 db_epoch: state.epoch,
                 db_generation: db.generation(),
                 min_epoch,
                 degraded,
-                printed: out.outcome.printed,
+                printed,
                 cycles: out.outcome.cycles,
                 nr_jit: out.nr_jit,
                 nr_disjit: out.nr_disjit,
