@@ -577,6 +577,55 @@ impl Engine {
         st.matched = matched;
     }
 
+    /// Counts an invocation of `func`, promotes it (compiling as the
+    /// thresholds say), and returns the tier to run it in: optimized
+    /// code, or the per-op cost to interpret it at.
+    fn enter(
+        &mut self,
+        rt: &mut Runtime,
+        module: &Module,
+        func: FuncId,
+    ) -> (Option<Rc<IonCode>>, u64) {
+        let st = state_of(&mut self.state, func);
+        st.invocations += 1;
+        let inv = st.invocations;
+        if self.config.jit_enabled && !st.pinned_interp {
+            let mut promoted_baseline = false;
+            if !st.baseline && inv >= self.config.baseline_threshold {
+                st.baseline = true;
+                rt.add_cycles(module.function(func).len() as u64 * BASELINE_COMPILE_COST);
+                promoted_baseline = true;
+            }
+            let needs_ion =
+                st.baseline && st.ion.is_none() && !st.no_ion && inv >= self.config.ion_threshold;
+            if promoted_baseline {
+                self.emit(|| Event::CompileStarted {
+                    function: module.function(func).name.clone(),
+                    tier: Tier::Baseline,
+                });
+                self.emit(|| Event::TierPromoted {
+                    function: module.function(func).name.clone(),
+                    tier: Tier::Baseline,
+                });
+            }
+            if needs_ion {
+                self.compile_ion(rt, module, func);
+            }
+        }
+        let st = &self.state[func.0 as usize];
+        if st.pinned_interp {
+            // Watchdog verdict: interpreter-only, whatever tiers the
+            // function had reached before.
+            (None, INTERP_COST)
+        } else {
+            match (&st.ion, st.baseline) {
+                (Some(code), _) => (Some(Rc::clone(code)), 0),
+                (None, true) => (None, BASELINE_COST),
+                (None, false) => (None, INTERP_COST),
+            }
+        }
+    }
+
     /// Parses, compiles and runs a source program under this engine
     /// configuration (no JITBULL guard).
     ///
@@ -648,57 +697,6 @@ pub struct EngineOutcome {
     pub compile_failures: u64,
     /// Watchdog expiries among those failures.
     pub watchdog_expiries: u64,
-}
-
-impl Engine {
-    /// Counts an invocation of `func`, promotes it (compiling as the
-    /// thresholds say), and returns the tier to run it in: optimized
-    /// code, or the per-op cost to interpret it at.
-    fn enter(
-        &mut self,
-        rt: &mut Runtime,
-        module: &Module,
-        func: FuncId,
-    ) -> (Option<Rc<IonCode>>, u64) {
-        let st = state_of(&mut self.state, func);
-        st.invocations += 1;
-        let inv = st.invocations;
-        if self.config.jit_enabled && !st.pinned_interp {
-            let mut promoted_baseline = false;
-            if !st.baseline && inv >= self.config.baseline_threshold {
-                st.baseline = true;
-                rt.add_cycles(module.function(func).len() as u64 * BASELINE_COMPILE_COST);
-                promoted_baseline = true;
-            }
-            let needs_ion =
-                st.baseline && st.ion.is_none() && !st.no_ion && inv >= self.config.ion_threshold;
-            if promoted_baseline {
-                self.emit(|| Event::CompileStarted {
-                    function: module.function(func).name.clone(),
-                    tier: Tier::Baseline,
-                });
-                self.emit(|| Event::TierPromoted {
-                    function: module.function(func).name.clone(),
-                    tier: Tier::Baseline,
-                });
-            }
-            if needs_ion {
-                self.compile_ion(rt, module, func);
-            }
-        }
-        let st = &self.state[func.0 as usize];
-        if st.pinned_interp {
-            // Watchdog verdict: interpreter-only, whatever tiers the
-            // function had reached before.
-            (None, INTERP_COST)
-        } else {
-            match (&st.ion, st.baseline) {
-                (Some(code), _) => (Some(Rc::clone(code)), 0),
-                (None, true) => (None, BASELINE_COST),
-                (None, false) => (None, INTERP_COST),
-            }
-        }
-    }
 }
 
 impl Dispatcher for Engine {

@@ -9,8 +9,8 @@
 //! * blocks become **offsets** into the array (only blocks reachable from
 //!   the entry are laid out, each ending in its terminator);
 //! * constants become ready [`Value`]s and `MOpcode` operators become
-//!   one instruction variant each, whose Number×Number cases are
-//!   computed inline with results equal to `eval_binop`/`eval_unop`;
+//!   dedicated instructions whose Number×Number cases are computed inline
+//!   with results equal to `eval_binop`/`eval_unop`;
 //! * a few adjacent pairs that hot code is made of are **fused** into one
 //!   decoded instruction: a comparison and the branch on it, a
 //!   `boundscheck` and the element access it vouches for, an
@@ -97,8 +97,9 @@ enum Ins {
         dst: u32,
         n: f64,
     },
-    // Binary operators, one variant each so that dispatch alone selects
-    // the operation.
+    // Arithmetic and bitwise operators, one variant each so that dispatch
+    // alone selects the operation. Comparisons, which hot code mostly
+    // branches on (see `CmpBranch`), share `Cmp`.
     Add {
         dst: u32,
         a: u32,
@@ -124,42 +125,8 @@ enum Ins {
         a: u32,
         b: u32,
     },
-    Lt {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    Le {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    Gt {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    Ge {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    Eq {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    Ne {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    StrictEq {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    StrictNe {
+    Cmp {
+        cmp: CmpOp,
         dst: u32,
         a: u32,
         b: u32,
@@ -194,57 +161,9 @@ enum Ins {
         a: u32,
         b: u32,
     },
-    // A comparison into `dst`, then a branch on it.
-    LtBranch {
-        dst: u32,
-        a: u32,
-        b: u32,
-        then_to: u32,
-        else_to: u32,
-    },
-    LeBranch {
-        dst: u32,
-        a: u32,
-        b: u32,
-        then_to: u32,
-        else_to: u32,
-    },
-    GtBranch {
-        dst: u32,
-        a: u32,
-        b: u32,
-        then_to: u32,
-        else_to: u32,
-    },
-    GeBranch {
-        dst: u32,
-        a: u32,
-        b: u32,
-        then_to: u32,
-        else_to: u32,
-    },
-    EqBranch {
-        dst: u32,
-        a: u32,
-        b: u32,
-        then_to: u32,
-        else_to: u32,
-    },
-    NeBranch {
-        dst: u32,
-        a: u32,
-        b: u32,
-        then_to: u32,
-        else_to: u32,
-    },
-    StrictEqBranch {
-        dst: u32,
-        a: u32,
-        b: u32,
-        then_to: u32,
-        else_to: u32,
-    },
-    StrictNeBranch {
+    /// A comparison into `dst`, then a branch on it.
+    CmpBranch {
+        cmp: CmpOp,
         dst: u32,
         a: u32,
         b: u32,
@@ -479,28 +398,7 @@ impl IonCode {
                 Ins::Branch {
                     then_to, else_to, ..
                 }
-                | Ins::LtBranch {
-                    then_to, else_to, ..
-                }
-                | Ins::LeBranch {
-                    then_to, else_to, ..
-                }
-                | Ins::GtBranch {
-                    then_to, else_to, ..
-                }
-                | Ins::GeBranch {
-                    then_to, else_to, ..
-                }
-                | Ins::EqBranch {
-                    then_to, else_to, ..
-                }
-                | Ins::NeBranch {
-                    then_to, else_to, ..
-                }
-                | Ins::StrictEqBranch {
-                    then_to, else_to, ..
-                }
-                | Ins::StrictNeBranch {
+                | Ins::CmpBranch {
                     then_to, else_to, ..
                 } => {
                     *then_to = offset[*then_to as usize];
@@ -602,30 +500,14 @@ impl Decoder<'_> {
                     then_block,
                     else_block,
                 },
-            ) if n.args[0] == d => {
-                let (a, b, then_to, else_to) = (arg(i, 0), arg(i, 1), then_block.0, else_block.0);
-                macro_rules! br {
-                    ($v:ident) => {
-                        Ins::$v {
-                            dst,
-                            a,
-                            b,
-                            then_to,
-                            else_to,
-                        }
-                    };
-                }
-                Some(match c {
-                    CmpOp::Lt => br!(LtBranch),
-                    CmpOp::Le => br!(LeBranch),
-                    CmpOp::Gt => br!(GtBranch),
-                    CmpOp::Ge => br!(GeBranch),
-                    CmpOp::Eq => br!(EqBranch),
-                    CmpOp::Ne => br!(NeBranch),
-                    CmpOp::StrictEq => br!(StrictEqBranch),
-                    CmpOp::StrictNe => br!(StrictNeBranch),
-                })
-            }
+            ) if n.args[0] == d => Some(Ins::CmpBranch {
+                cmp: *c,
+                dst,
+                a: arg(i, 0),
+                b: arg(i, 1),
+                then_to: then_block.0,
+                else_to: else_block.0,
+            }),
             (
                 LOp::Op(MOpcode::BoundsCheck),
                 LOp::Op(op @ (MOpcode::LoadElement | MOpcode::StoreElement)),
@@ -723,14 +605,12 @@ impl Decoder<'_> {
             MOpcode::Mul => bin!(Mul),
             MOpcode::Div => bin!(Div),
             MOpcode::Mod => bin!(Mod),
-            MOpcode::Compare(CmpOp::Lt) => bin!(Lt),
-            MOpcode::Compare(CmpOp::Le) => bin!(Le),
-            MOpcode::Compare(CmpOp::Gt) => bin!(Gt),
-            MOpcode::Compare(CmpOp::Ge) => bin!(Ge),
-            MOpcode::Compare(CmpOp::Eq) => bin!(Eq),
-            MOpcode::Compare(CmpOp::Ne) => bin!(Ne),
-            MOpcode::Compare(CmpOp::StrictEq) => bin!(StrictEq),
-            MOpcode::Compare(CmpOp::StrictNe) => bin!(StrictNe),
+            MOpcode::Compare(cmp) => Ins::Cmp {
+                cmp: *cmp,
+                dst,
+                a: arg(0),
+                b: arg(1),
+            },
             MOpcode::BitAnd => bin!(BitAnd),
             MOpcode::BitOr => bin!(BitOr),
             MOpcode::BitXor => bin!(BitXor),
@@ -948,6 +828,32 @@ fn to_i32(n: f64) -> i32 {
         n as i64 as i32
     } else {
         0
+    }
+}
+
+/// A comparison of two Numbers (equal to [`eval_binop`] on them).
+#[inline(always)]
+fn compare(cmp: CmpOp, x: f64, y: f64) -> bool {
+    match cmp {
+        CmpOp::Lt => x < y,
+        CmpOp::Le => x <= y,
+        CmpOp::Gt => x > y,
+        CmpOp::Ge => x >= y,
+        CmpOp::Eq | CmpOp::StrictEq => x == y,
+        CmpOp::Ne | CmpOp::StrictNe => x != y,
+    }
+}
+
+fn cmp_binop(cmp: CmpOp) -> BinOp {
+    match cmp {
+        CmpOp::Eq => BinOp::Eq,
+        CmpOp::Ne => BinOp::Ne,
+        CmpOp::StrictEq => BinOp::StrictEq,
+        CmpOp::StrictNe => BinOp::StrictNe,
+        CmpOp::Lt => BinOp::Lt,
+        CmpOp::Le => BinOp::Le,
+        CmpOp::Gt => BinOp::Gt,
+        CmpOp::Ge => BinOp::Ge,
     }
 }
 
@@ -1186,22 +1092,6 @@ impl Cx<'_> {
                 }
             }};
         }
-        // A comparison into `$dst`, then (charged separately) a branch.
-        macro_rules! cmp_branch {
-            ($i:expr, $op:expr, |$x:ident, $y:ident| $num:expr) => {{
-                let (dst, a, b, then_to, else_to) = $i;
-                let taken = match (&f[a as usize], &f[b as usize]) {
-                    (Value::Number($x), Value::Number($y)) => {
-                        let ($x, $y) = (*$x, *$y);
-                        $num
-                    }
-                    (x, y) => truthy(&eval_binop($op, x, y)),
-                };
-                set_bool(&mut f[dst as usize], taken);
-                charge!();
-                pc = if taken { then_to } else { else_to } as usize;
-            }};
-        }
         // Calls `$callee` with the arguments in frame slots `$slots`,
         // passed on the value stack.
         macro_rules! call {
@@ -1303,18 +1193,13 @@ impl Cx<'_> {
                 Ins::Mul { dst, a, b } => bin!(dst, a, b, BinOp::Mul, set_num, |x, y| x * y),
                 Ins::Div { dst, a, b } => bin!(dst, a, b, BinOp::Div, set_num, |x, y| x / y),
                 Ins::Mod { dst, a, b } => bin!(dst, a, b, BinOp::Mod, set_num, |x, y| x % y),
-                Ins::Lt { dst, a, b } => bin!(dst, a, b, BinOp::Lt, set_bool, |x, y| x < y),
-                Ins::Le { dst, a, b } => bin!(dst, a, b, BinOp::Le, set_bool, |x, y| x <= y),
-                Ins::Gt { dst, a, b } => bin!(dst, a, b, BinOp::Gt, set_bool, |x, y| x > y),
-                Ins::Ge { dst, a, b } => bin!(dst, a, b, BinOp::Ge, set_bool, |x, y| x >= y),
-                Ins::Eq { dst, a, b } => bin!(dst, a, b, BinOp::Eq, set_bool, |x, y| x == y),
-                Ins::Ne { dst, a, b } => bin!(dst, a, b, BinOp::Ne, set_bool, |x, y| x != y),
-                Ins::StrictEq { dst, a, b } => {
-                    bin!(dst, a, b, BinOp::StrictEq, set_bool, |x, y| x == y)
-                }
-                Ins::StrictNe { dst, a, b } => {
-                    bin!(dst, a, b, BinOp::StrictNe, set_bool, |x, y| x != y)
-                }
+                Ins::Cmp { cmp, dst, a, b } => match (&f[a as usize], &f[b as usize]) {
+                    (Value::Number(x), Value::Number(y)) => {
+                        let v = compare(cmp, *x, *y);
+                        set_bool(&mut f[dst as usize], v);
+                    }
+                    (x, y) => f[dst as usize] = eval_binop(cmp_binop(cmp), x, y),
+                },
                 Ins::BitAnd { dst, a, b } => bin!(dst, a, b, BinOp::BitAnd, set_num, |x, y| {
                     (to_i32(x) & to_i32(y)) as f64
                 }),
@@ -1333,64 +1218,22 @@ impl Cx<'_> {
                 Ins::Ushr { dst, a, b } => bin!(dst, a, b, BinOp::Ushr, set_num, |x, y| {
                     (to_i32(x) as u32 >> (to_i32(y) as u32 & 31)) as f64
                 }),
-                Ins::LtBranch {
+                Ins::CmpBranch {
+                    cmp,
                     dst,
                     a,
                     b,
                     then_to,
                     else_to,
-                } => cmp_branch!((dst, a, b, then_to, else_to), BinOp::Lt, |x, y| x < y),
-                Ins::LeBranch {
-                    dst,
-                    a,
-                    b,
-                    then_to,
-                    else_to,
-                } => cmp_branch!((dst, a, b, then_to, else_to), BinOp::Le, |x, y| x <= y),
-                Ins::GtBranch {
-                    dst,
-                    a,
-                    b,
-                    then_to,
-                    else_to,
-                } => cmp_branch!((dst, a, b, then_to, else_to), BinOp::Gt, |x, y| x > y),
-                Ins::GeBranch {
-                    dst,
-                    a,
-                    b,
-                    then_to,
-                    else_to,
-                } => cmp_branch!((dst, a, b, then_to, else_to), BinOp::Ge, |x, y| x >= y),
-                Ins::EqBranch {
-                    dst,
-                    a,
-                    b,
-                    then_to,
-                    else_to,
-                } => cmp_branch!((dst, a, b, then_to, else_to), BinOp::Eq, |x, y| x == y),
-                Ins::NeBranch {
-                    dst,
-                    a,
-                    b,
-                    then_to,
-                    else_to,
-                } => cmp_branch!((dst, a, b, then_to, else_to), BinOp::Ne, |x, y| x != y),
-                Ins::StrictEqBranch {
-                    dst,
-                    a,
-                    b,
-                    then_to,
-                    else_to,
-                } => cmp_branch!((dst, a, b, then_to, else_to), BinOp::StrictEq, |x, y| x
-                    == y),
-                Ins::StrictNeBranch {
-                    dst,
-                    a,
-                    b,
-                    then_to,
-                    else_to,
-                } => cmp_branch!((dst, a, b, then_to, else_to), BinOp::StrictNe, |x, y| x
-                    != y),
+                } => {
+                    let taken = match (&f[a as usize], &f[b as usize]) {
+                        (Value::Number(x), Value::Number(y)) => compare(cmp, *x, *y),
+                        (x, y) => truthy(&eval_binop(cmp_binop(cmp), x, y)),
+                    };
+                    set_bool(&mut f[dst as usize], taken);
+                    charge!();
+                    pc = if taken { then_to } else { else_to } as usize;
+                }
                 Ins::Un { op, dst, a } => {
                     let v = unary(op, &f[a as usize]);
                     put_owned(&mut f[dst as usize], v);
