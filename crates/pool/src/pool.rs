@@ -113,7 +113,9 @@ impl Request {
     }
 }
 
-/// What a worker produced for one request.
+/// What a worker produced for one request. Callers often keep every
+/// response, so counts are `u32`: a response's size is memory per served
+/// request.
 #[derive(Debug, Clone)]
 pub struct PoolResponse {
     /// Worker index that served the request.
@@ -133,11 +135,11 @@ pub struct PoolResponse {
     /// Simulated cycles the run consumed.
     pub cycles: u64,
     /// Functions that reached the optimizing tier (`Nr_JIT`).
-    pub nr_jit: usize,
+    pub nr_jit: u32,
     /// Functions with ≥1 pass disabled (`Nr_DisJIT`).
-    pub nr_disjit: usize,
+    pub nr_disjit: u32,
     /// Functions whose optimizing JIT was vetoed (`Nr_NoJIT`).
-    pub nr_nojit: usize,
+    pub nr_nojit: u32,
     /// Simulated cycles spent in JITBULL analysis.
     pub analysis_cycles: u64,
     /// Distinct CVEs any function's DNA matched, sorted.
@@ -151,7 +153,7 @@ pub struct PoolResponse {
     pub breaker_degraded: bool,
     /// Compilations this run abandoned (panic, broken graph, or watchdog
     /// expiry) — each recovered by per-function fallback.
-    pub compile_failures: u64,
+    pub compile_failures: u32,
 }
 
 /// One-shot response slot shared between a [`Ticket`] and the worker-side

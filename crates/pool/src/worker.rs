@@ -232,17 +232,21 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
                 degraded,
                 printed,
                 cycles: out.outcome.cycles,
-                nr_jit: out.nr_jit,
-                nr_disjit: out.nr_disjit,
-                nr_nojit: out.nr_nojit,
+                nr_jit: saturating_u32(out.nr_jit),
+                nr_disjit: saturating_u32(out.nr_disjit),
+                nr_nojit: saturating_u32(out.nr_nojit),
                 analysis_cycles: out.analysis_cycles,
                 matched_cves,
                 wait_micros,
                 run_micros,
                 breaker_degraded,
-                compile_failures,
+                compile_failures: saturating_u32(compile_failures),
             }));
         }
         Err(e) => responder.send(Err(PoolError::Script(e.to_string()))),
     }
+}
+
+fn saturating_u32(n: impl TryInto<u32>) -> u32 {
+    n.try_into().unwrap_or(u32::MAX)
 }
