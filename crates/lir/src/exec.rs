@@ -18,7 +18,8 @@
 //!   at the end of a block together with its jump.
 //!
 //! Fusion saves dispatches, not charges: a decoded instruction charges
-//! `rt.consume_op(ION_COST)` once for each LIR instruction it stands
+//! `consume_op(ION_COST)` on [`Runtime::meter`] (the counters
+//! [`Runtime::consume_op`] uses) once for each LIR instruction it stands
 //! for, each time just before doing that instruction's work, and
 //! returns at once when the charge fails. Moves, jumps, branches and
 //! returns are charged like any other instruction. Ops, cycles and the
