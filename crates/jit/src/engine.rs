@@ -706,28 +706,11 @@ impl Dispatcher for Engine {
         module: &Module,
         func: FuncId,
         this: Value,
-        args: Vec<Value>,
-    ) -> Result<Value, VmError> {
-        match self.enter(rt, module, func) {
-            (Some(code), _) => jitbull_lir::run(&code, rt, module, this, &args, self),
-            (None, cost) => interp::run_function(rt, module, func, this, args, self, cost),
-        }
-    }
-
-    fn call_on_stack(
-        &mut self,
-        rt: &mut Runtime,
-        module: &Module,
-        func: FuncId,
-        this: Value,
         argc: usize,
     ) -> Result<Value, VmError> {
         match self.enter(rt, module, func) {
-            (Some(code), _) => jitbull_lir::run_on_stack(&code, rt, module, this, argc, self),
-            (None, cost) => {
-                let args = rt.stack.split_off(rt.stack.len() - argc);
-                interp::run_function(rt, module, func, this, args, self, cost)
-            }
+            (Some(code), _) => jitbull_lir::run(&code, rt, module, this, argc, self),
+            (None, cost) => interp::run_function(rt, module, func, this, argc, self, cost),
         }
     }
 }

@@ -46,8 +46,8 @@ use jitbull_frontend::ast::{BinOp, UnOp};
 use jitbull_mir::{CmpOp, ConstVal, MOpcode, TypeHint};
 use jitbull_vm::bytecode::{IntrinsicMethod, MathFn, Module};
 use jitbull_vm::interp::{
-    eval_binop, eval_intrinsic, eval_math, eval_unop, get_elem, get_prop, invoke_value_on_stack,
-    set_elem, set_length, set_prop,
+    eval_binop, eval_intrinsic, eval_math, eval_unop, get_elem, get_prop, invoke_value, set_elem,
+    set_length, set_prop,
 };
 use jitbull_vm::runtime::{Runtime, ION_COST};
 use jitbull_vm::value::ArrId;
@@ -739,34 +739,17 @@ fn const_value(c: &ConstVal) -> Value {
     }
 }
 
-/// Executes one invocation of decoded optimized code.
+/// Executes one invocation of decoded optimized code. The arguments are
+/// the top `argc` values of the value stack; they become the bottom of
+/// the invocation's frame and are removed with it, so a call allocates
+/// nothing once the stack has grown.
 ///
 /// # Errors
 ///
 /// Propagates [`VmError`]s, including crashes from wild raw accesses.
-/// Whatever the outcome, the value stack is back at its entry depth.
+/// Whatever the outcome, the value stack is back at its depth before
+/// the arguments were pushed.
 pub fn run(
-    code: &IonCode,
-    rt: &mut Runtime,
-    module: &Module,
-    this: Value,
-    args: &[Value],
-    dispatcher: &mut dyn Dispatcher,
-) -> Result<Value, VmError> {
-    rt.stack.extend_from_slice(args);
-    run_on_stack(code, rt, module, this, args.len(), dispatcher)
-}
-
-/// [`run`] with the arguments being the top `argc` values of the value
-/// stack; they become the bottom of the invocation's frame and are
-/// removed with it. Optimized code calls optimized code this way, with
-/// no allocation per call.
-///
-/// # Errors
-///
-/// As [`run`]. Whatever the outcome, the value stack is back at its
-/// depth before the arguments were pushed.
-pub fn run_on_stack(
     code: &IonCode,
     rt: &mut Runtime,
     module: &Module,
@@ -1102,7 +1085,7 @@ impl Cx<'_> {
                     let v = copy(&rt.stack[base + *s as usize]);
                     rt.stack.push(v);
                 }
-                with_rt!(invoke_value_on_stack(
+                with_rt!(invoke_value(
                     rt,
                     self.module,
                     $callee,

@@ -36,7 +36,7 @@ pub mod lower;
 pub mod passes;
 pub mod regalloc;
 
-pub use exec::{run, run_on_stack, IonCode};
+pub use exec::{run, IonCode};
 pub use lir::{GuardRefs, LBlockId, LFunction, LInstr, LOp, Loc, VReg};
 pub use lower::lower;
 pub use regalloc::{allocate, Allocation};

@@ -43,23 +43,23 @@ impl Dispatcher for IonOnly {
         module: &Module,
         func: FuncId,
         this: Value,
-        args: Vec<Value>,
-    ) -> Result<Value, VmError> {
-        let code = Rc::clone(&self.code[func.0 as usize]);
-        jitbull_lir::run(&code, rt, module, this, &args, self)
-    }
-
-    fn call_on_stack(
-        &mut self,
-        rt: &mut Runtime,
-        module: &Module,
-        func: FuncId,
-        this: Value,
         argc: usize,
     ) -> Result<Value, VmError> {
         let code = Rc::clone(&self.code[func.0 as usize]);
-        jitbull_lir::run_on_stack(&code, rt, module, this, argc, self)
+        jitbull_lir::run(&code, rt, module, this, argc, self)
     }
+}
+
+/// Runs `code` as an entry call with `args` pushed onto the value stack.
+fn run_with(
+    code: &IonCode,
+    rt: &mut Runtime,
+    module: &Module,
+    args: &[Value],
+    dispatcher: &mut dyn Dispatcher,
+) -> Result<Value, VmError> {
+    rt.stack.extend_from_slice(args);
+    jitbull_lir::run(code, rt, module, Value::Undefined, args.len(), dispatcher)
 }
 
 /// A program compiled to optimized code, with a prepared runtime.
@@ -81,14 +81,7 @@ impl Program {
     fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, VmError> {
         let fid = self.module.function_id(name).expect("function exists");
         let code = Rc::clone(&self.ion.code[fid.0 as usize]);
-        jitbull_lir::run(
-            &code,
-            &mut self.rt,
-            &self.module,
-            Value::Undefined,
-            args,
-            &mut self.ion,
-        )
+        run_with(&code, &mut self.rt, &self.module, args, &mut self.ion)
     }
 }
 
@@ -104,10 +97,17 @@ fn sentinel_stack(rt: &mut Runtime) {
 }
 
 /// Runs `test` on a thread with room for `Runtime::MAX_DEPTH` nested
-/// optimized frames on the native stack, which unoptimized builds need.
+/// optimized frames on the native stack. An optimized build needs about
+/// 1.75 MB for them (x86-64), so it gets a spawned thread's default
+/// 2 MiB; an unoptimized build needs about 26 KB a frame.
 fn with_deep_stack(test: impl FnOnce() + Send + 'static) {
+    let stack = if cfg!(debug_assertions) {
+        64 << 20
+    } else {
+        2 << 20
+    };
     std::thread::Builder::new()
-        .stack_size(256 << 20)
+        .stack_size(stack)
         .spawn(test)
         .expect("spawns")
         .join()
@@ -325,7 +325,7 @@ fn a_failed_bounds_check_does_not_leak_into_the_next_invocation() {
     let mut ion = IonOnly { code: Vec::new() };
     let mut load = |rt: &mut Runtime, idx: f64, check: bool| {
         let args = [Value::Array(arr), Value::Number(idx), Value::Bool(check)];
-        jitbull_lir::run(&code, rt, &module, Value::Undefined, &args, &mut ion).expect("runs")
+        run_with(&code, rt, &module, &args, &mut ion).expect("runs")
     };
     // The check runs and fails: the load falls back to the checked path.
     assert!(matches!(load(&mut rt, 3.0, true), Value::Undefined));

@@ -14,8 +14,10 @@ use crate::value::Value;
 
 /// Routes a function invocation to an execution tier.
 pub trait Dispatcher {
-    /// Invokes `func` with the given receiver and arguments, returning its
-    /// result.
+    /// Invokes `func` with the given receiver, returning its result. The
+    /// arguments are the top `argc` values of [`Runtime::stack`], which
+    /// the call removes whatever its outcome, so no call allocates an
+    /// argument list.
     ///
     /// # Errors
     ///
@@ -26,28 +28,8 @@ pub trait Dispatcher {
         module: &Module,
         func: FuncId,
         this: Value,
-        args: Vec<Value>,
-    ) -> Result<Value, VmError>;
-
-    /// Like [`Dispatcher::call`], with the arguments being the top `argc`
-    /// values of [`Runtime::stack`], which the call removes. The default
-    /// moves them into a `Vec` for [`Dispatcher::call`]; a tier that runs
-    /// on the value stack can use them in place.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`VmError`] raised during execution.
-    fn call_on_stack(
-        &mut self,
-        rt: &mut Runtime,
-        module: &Module,
-        func: FuncId,
-        this: Value,
         argc: usize,
-    ) -> Result<Value, VmError> {
-        let args = rt.stack.split_off(rt.stack.len() - argc);
-        self.call(rt, module, func, this, args)
-    }
+    ) -> Result<Value, VmError>;
 }
 
 /// The interpreter-only dispatcher (models a browser with the JIT engine
@@ -69,8 +51,8 @@ impl Dispatcher for InterpDispatcher {
         module: &Module,
         func: FuncId,
         this: Value,
-        args: Vec<Value>,
+        argc: usize,
     ) -> Result<Value, VmError> {
-        interp::run_function(rt, module, func, this, args, self, INTERP_COST)
+        interp::run_function(rt, module, func, this, argc, self, INTERP_COST)
     }
 }

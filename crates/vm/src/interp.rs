@@ -23,7 +23,7 @@ pub fn run_module(
     dispatcher: &mut dyn Dispatcher,
 ) -> Result<Value, VmError> {
     rt.prepare(module);
-    let result = dispatcher.call(rt, module, module.entry, Value::Undefined, Vec::new());
+    let result = dispatcher.call(rt, module, module.entry, Value::Undefined, 0);
     if let Err(VmError::Crash(msg)) = &result {
         rt.note_crash(msg);
     }
@@ -31,6 +31,9 @@ pub fn run_module(
 }
 
 /// Interprets one function invocation at `cost` cycles per operation.
+/// The arguments are the top `argc` values of [`Runtime::stack`]; they
+/// move into the frame's locals and leave the stack before the body
+/// runs.
 ///
 /// # Errors
 ///
@@ -40,12 +43,19 @@ pub fn run_function(
     module: &Module,
     func: FuncId,
     this: Value,
-    mut args: Vec<Value>,
+    argc: usize,
     dispatcher: &mut dyn Dispatcher,
     cost: u64,
 ) -> Result<Value, VmError> {
+    let f = module.function(func);
+    let mut locals = vec![Value::Undefined; f.n_locals as usize];
+    let args_at = rt.stack.len() - argc;
+    let params = locals.iter_mut().take(f.arity as usize);
+    for (local, arg) in params.zip(rt.stack.drain(args_at..)) {
+        *local = arg;
+    }
     rt.enter_call()?;
-    let result = run_frame(rt, module, func, this, &mut args, dispatcher, cost);
+    let result = run_frame(rt, module, func, this, locals, dispatcher, cost);
     rt.exit_call();
     result
 }
@@ -55,15 +65,11 @@ fn run_frame(
     module: &Module,
     func: FuncId,
     this: Value,
-    args: &mut [Value],
+    mut locals: Vec<Value>,
     dispatcher: &mut dyn Dispatcher,
     cost: u64,
 ) -> Result<Value, VmError> {
     let f = module.function(func);
-    let mut locals = vec![Value::Undefined; f.n_locals as usize];
-    for i in 0..(f.arity as usize).min(args.len()) {
-        locals[i] = std::mem::take(&mut args[i]);
-    }
     let mut stack: Vec<Value> = Vec::with_capacity(16);
     let mut pc = 0usize;
 
@@ -123,8 +129,7 @@ fn run_frame(
                 push_args(rt, &mut stack, *argc);
                 let callee = pop!();
                 let argc = *argc as usize;
-                let result =
-                    invoke_value_on_stack(rt, module, callee, Value::Undefined, argc, dispatcher)?;
+                let result = invoke_value(rt, module, callee, Value::Undefined, argc, dispatcher)?;
                 stack.push(result);
             }
             Op::CallMethod(argc) => {
@@ -132,7 +137,7 @@ fn run_frame(
                 let callee = pop!();
                 let base = pop!();
                 let argc = *argc as usize;
-                let result = invoke_value_on_stack(rt, module, callee, base, argc, dispatcher)?;
+                let result = invoke_value(rt, module, callee, base, argc, dispatcher)?;
                 stack.push(result);
             }
             Op::New(argc) => {
@@ -140,7 +145,7 @@ fn run_frame(
                 let callee = pop!();
                 let obj = Value::Object(rt.alloc_object());
                 let argc = *argc as usize;
-                invoke_value_on_stack(rt, module, callee, obj.clone(), argc, dispatcher)?;
+                invoke_value(rt, module, callee, obj.clone(), argc, dispatcher)?;
                 stack.push(obj);
             }
             Op::NewArray(n) => {
@@ -233,10 +238,12 @@ fn split_args(stack: &mut Vec<Value>, argc: u8) -> Vec<Value> {
     stack.split_off(at)
 }
 
-/// Invokes an arbitrary callee value. This is where control-flow hijacking
-/// is detected: a callee cell corrupted to [`SHELLCODE_MARKER`] counts as
-/// attacker shellcode executing; any other non-function callee that came
-/// from corrupted memory crashes the runtime.
+/// Invokes an arbitrary callee value with the top `argc` values of
+/// [`Runtime::stack`] as arguments, which the call removes. This is where
+/// control-flow hijacking is detected: a callee cell corrupted to
+/// [`SHELLCODE_MARKER`] counts as attacker shellcode executing; any other
+/// non-function callee that came from corrupted memory crashes the
+/// runtime.
 ///
 /// # Errors
 ///
@@ -247,11 +254,14 @@ pub fn invoke_value(
     module: &Module,
     callee: Value,
     this: Value,
-    args: Vec<Value>,
+    argc: usize,
     dispatcher: &mut dyn Dispatcher,
 ) -> Result<Value, VmError> {
+    if let Value::Function(fid) = callee {
+        return dispatcher.call(rt, module, fid, this, argc);
+    }
+    rt.stack.truncate(rt.stack.len() - argc);
     match callee {
-        Value::Function(fid) => dispatcher.call(rt, module, fid, this, args),
         Value::Number(n) if n == SHELLCODE_MARKER => {
             rt.status = crate::runtime::ExploitStatus::ShellcodeExecuted;
             Ok(Value::Undefined)
@@ -265,29 +275,6 @@ pub fn invoke_value(
             "{} is not a function",
             other.kind_name()
         ))),
-    }
-}
-
-/// [`invoke_value`] with the arguments being the top `argc` values of
-/// [`Runtime::stack`], which the call removes.
-///
-/// # Errors
-///
-/// As [`invoke_value`].
-pub fn invoke_value_on_stack(
-    rt: &mut Runtime,
-    module: &Module,
-    callee: Value,
-    this: Value,
-    argc: usize,
-    dispatcher: &mut dyn Dispatcher,
-) -> Result<Value, VmError> {
-    match callee {
-        Value::Function(fid) => dispatcher.call_on_stack(rt, module, fid, this, argc),
-        other => {
-            let args = rt.stack.split_off(rt.stack.len() - argc);
-            invoke_value(rt, module, other, this, args, dispatcher)
-        }
     }
 }
 
