@@ -25,6 +25,7 @@ use jitbull_jit::pipeline::N_SLOTS;
 use jitbull_jit::CveId;
 use jitbull_pool::{Pool, PoolConfig, PoolError, Request, Ticket};
 use jitbull_vdc::{build_database, vdc};
+use jitbull_vm::Runtime;
 
 /// The repo's test-convention thresholds: guaranteed self-matches, so a
 /// served ServeArray request flags every database entry carrying
@@ -209,6 +210,39 @@ fn panicking_worker_is_isolated_and_respawned() {
     let stats = pool.shutdown();
     assert_eq!(stats.worker_restarts, 1);
     assert_eq!(stats.served, 1, "the chaos request is not counted served");
+}
+
+/// Recursion to `Runtime::MAX_DEPTH` through optimized code fits a
+/// worker's native stack, and one call deeper is a clean script error:
+/// running out of native stack would abort the process instead.
+#[test]
+fn max_depth_recursion_in_optimized_code_fits_a_worker() {
+    // The entry frame and `down(0)` are frames too.
+    let depth = Runtime::MAX_DEPTH - 2;
+    let script = |n: u32| {
+        Request::new(format!(
+            "function down(n) {{ if (n == 0) {{ return 0; }} return down(n - 1) + 1; }}
+             var t = 0;
+             for (var i = 0; i < 20; i++) {{ t = down(3); }}
+             print(down({n}));"
+        ))
+        .with_config(EngineConfig::fast_test())
+    };
+    let pool = Pool::new(config(1, 8), DnaDatabase::new());
+    let deepest = pool.submit(script(depth)).unwrap().wait().expect("fits");
+    assert_eq!(deepest.printed, vec![depth.to_string()]);
+    assert_eq!(deepest.nr_jit, 1, "down runs as optimized code");
+    let err = pool
+        .submit(script(depth + 1))
+        .unwrap()
+        .wait()
+        .expect_err("one call too deep");
+    assert!(
+        matches!(err, PoolError::Script(ref m) if m.contains("depth")),
+        "{err:?}"
+    );
+    let stats = pool.shutdown();
+    assert_eq!(stats.worker_restarts, 0);
 }
 
 #[test]
