@@ -25,6 +25,7 @@
 
 pub mod ablation;
 pub mod chaos_bench;
+pub mod corpus;
 pub mod figures;
 pub mod obs;
 pub mod pool_bench;
