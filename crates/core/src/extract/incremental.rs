@@ -2,57 +2,64 @@
 //! Algorithm 1, mirroring what [`crate::index`] did for Algorithm 2.
 //!
 //! [`super::extract_delta`] (the normative reference) enumerates every
-//! root-to-leaf chain of *both* snapshots of *every* pass and then
-//! materialises, windows, and deduplicates label sub-chains through a
-//! `BTreeSet<Chain>` — even for the many passes that changed nothing.
-//! This module computes the same deltas, chain for chain, by diffing
-//! structurally first and touching strings only where the IR actually
-//! changed:
+//! root-to-leaf chain of *both* snapshots of *every* pass, hashes
+//! string-keyed edge multisets, and windows and deduplicates label
+//! sub-chains through a `BTreeSet<Chain>` — even for the many passes that
+//! changed nothing. This module computes the same deltas, chain for
+//! chain, on integers, and touches strings only to give each label an id
+//! and to resolve the final sub-chains:
 //!
-//! 1. **Edge-multiset fast path**: a pass's label-pair edge multisets
-//!    ([`super::edge_counts`]) are compared before anything else. Equal
-//!    multisets mean both directed changed-edge sets are empty, which
-//!    means the reference's `diff_subchains` emits nothing regardless of
-//!    what the chains look like — so the delta is empty and chain
-//!    enumeration is skipped entirely. Most pipeline slots take this
-//!    path on real workloads.
-//! 2. **One-sided skip**: removed and added sub-chains depend on
-//!    *directed* multiplicity drops. A side whose changed-edge set is
-//!    empty contributes nothing, so its snapshot is never enumerated.
-//! 3. **Id-path enumeration with cached reuse**: when a side must be
-//!    enumerated, the DFS visits nodes in exactly the reference order
-//!    with the same [`super::MAX_CHAINS`] / [`super::MAX_CHAIN_LEN`]
-//!    caps, but records instruction-id paths instead of label vectors.
-//!    Because nothing mutates the IR between two pipeline slots, a
-//!    record's `after` snapshot equals the next record's `before`; the
-//!    last enumeration is kept and reused when the snapshots compare
-//!    equal (full structural equality — reuse can never be wrong).
-//! 4. **Interned runs and memoised windows**: changed-edge runs along a
-//!    path are materialised once, interned into the shared
-//!    [`ChainInterner`], and expanded into their contiguous windows via
-//!    a per-run-id cache. Duplicate sub-chains — the overwhelmingly
-//!    common case, since every window of every chain through a changed
-//!    region repeats — are deduplicated as `u32` ids and resolved back
-//!    to label chains exactly once at the end.
+//! 1. **Equality skip**: a pass whose `after` snapshot equals its
+//!    `before` (the same object, or structurally) changed no edge, so
+//!    its delta is empty without any further work. Most pipeline slots
+//!    take this path on real workloads.
+//! 2. **Integer form**: otherwise each snapshot becomes one label id per
+//!    instruction (an extractor-lifetime table maps each distinct label
+//!    to a `u32`) and a sorted `Vec<u64>` of `(user, operand)` label-pair
+//!    edge keys, one per operand. A record's `before` reuses the previous
+//!    record's `after` form when the two snapshots are proven equal.
+//!    Equal key vectors mean equal edge multisets, so both directed
+//!    changed-edge sets are empty and the delta is empty (renumbering
+//!    passes end here).
+//! 3. **Changed sides**: one merge of the two sorted key vectors yields
+//!    both directed changed-edge sets. A side whose set is empty
+//!    contributes nothing, so its snapshot is never enumerated.
+//! 4. **Dense enumeration with reuse**: a side that must be enumerated
+//!    runs the reference DFS over a dense adjacency with an on-path
+//!    bitset — same root order, same operand order (duplicates
+//!    included), same cycle guard, same [`super::MAX_CHAINS`] /
+//!    [`super::MAX_CHAIN_LEN`] caps — recording each path's label ids.
+//!    The last enumeration is kept and reused when the next snapshot to
+//!    enumerate compares structurally equal.
+//! 5. **Interned runs and memoised windows**: maximal changed-edge runs
+//!    are found by looking label-pair keys up in the sorted changed set,
+//!    interned by label-id sequence, and expanded into their contiguous
+//!    windows through a per-run-id cache. Window ids are deduplicated as
+//!    integers and resolved to label chains once per delta.
 //!
-//! Exactness argument, step by step: (1) and (2) only ever *conclude
-//! empty* when the reference provably emits empty; (3) walks the same
-//! paths in the same order under the same caps, so the emitted chain
-//! *set* is identical even when the caps bind; (4) is a pure
-//! representation change — run → windows is deterministic, and the final
-//! `BTreeSet` dedup is order-independent. The differential harness
+//! Exactness, step by step: (1) equal snapshots have equal edge
+//! multisets; (2) the label table is injective and keys are built with
+//! the oracle's resolution rules (the operand side takes the label of the
+//! *last* instruction carrying the id, `"?"` when none does), so equal
+//! sorted keys ⇔ equal multisets; (3) a key is in a directed set exactly
+//! when the oracle's `changed_edges` holds it; (4) walks the oracle's
+//! paths in the oracle's order under the same caps, so the path set is
+//! identical even when the caps bind; (5) is a representation change —
+//! run → windows is deterministic and the final dedup is
+//! order-independent. The differential harness
 //! (`tests/extract_differential.rs`) locks this in against tens of
-//! thousands of random snapshot pairs.
+//! thousands of random traces, and `tests/golden/extract_receipts.txt`
+//! pins the cost accounting.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use jitbull_mir::{MirSnapshot, PassTrace};
 
 use crate::dna::{Chain, Dna, PassDelta};
-use crate::index::ChainInterner;
 
-use super::{build_graph, changed_edges, edge_counts, DepGraph, MAX_CHAINS, MAX_CHAIN_LEN};
+use super::{MAX_CHAINS, MAX_CHAIN_LEN};
 
 /// Cycles charged per instruction for building and comparing a pass's
 /// edge multisets (paid by every traced pass — the fast path's price).
@@ -106,27 +113,150 @@ pub struct IncrementalStats {
     pub enum_reuses: u64,
 }
 
-/// One enumerated snapshot: its graph labels plus the id paths the
-/// reference DFS would have emitted, in emission order.
-#[derive(Debug, Clone)]
-struct EnumCache {
-    snapshot: MirSnapshot,
-    labels: HashMap<u32, Arc<str>>,
-    paths: Vec<Vec<u32>>,
+/// Label id of `"?"`, the label the oracle gives an operand id that no
+/// instruction of the snapshot carries.
+const UNKNOWN: u32 = 0;
+
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// The multiply-rotate hasher rustc uses for its own tables. Every key
+/// here is a short label or a small integer the compiler produced, so
+/// SipHash's flood resistance buys nothing and would cost most of each
+/// lookup.
+#[derive(Debug, Default, Clone, Copy)]
+struct FastHasher(u64);
+
+impl FastHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
 }
 
-/// The incremental Δ-extractor. Interner and window caches persist
-/// across passes, functions, and recompiles, so repeated changed regions
-/// (the same GVN rewrite firing on every hot function, say) are
-/// materialised once per process, not once per compilation.
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The `(user, operand)` label pair of one edge as a single sortable key.
+fn edge_key(from: u32, to: u32) -> u64 {
+    u64::from(from) << 32 | u64::from(to)
+}
+
+/// Extractor-lifetime label table: each distinct label ↔ a dense id,
+/// with `"?"` pre-assigned [`UNKNOWN`] so a literal `"?"` label and a
+/// dangling operand resolve alike, as they do in the oracle.
+#[derive(Debug, Clone)]
+struct Labels {
+    ids: FastMap<Arc<str>, u32>,
+    names: Vec<Arc<str>>,
+}
+
+impl Default for Labels {
+    fn default() -> Self {
+        let unknown: Arc<str> = Arc::from("?");
+        Labels {
+            ids: [(Arc::clone(&unknown), UNKNOWN)].into_iter().collect(),
+            names: vec![unknown],
+        }
+    }
+}
+
+impl Labels {
+    fn id(&mut self, label: &Arc<str>) -> u32 {
+        if let Some(&id) = self.ids.get(&**label) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("label table overflow");
+        self.names.push(Arc::clone(label));
+        self.ids.insert(Arc::clone(label), id);
+        id
+    }
+}
+
+/// Sub-chains interned by label-id sequence.
+#[derive(Debug, Clone, Default)]
+struct Chains {
+    ids: FastMap<Box<[u32]>, u32>,
+    seqs: Vec<Box<[u32]>>,
+}
+
+impl Chains {
+    fn intern(&mut self, seq: &[u32]) -> u32 {
+        if let Some(&id) = self.ids.get(seq) {
+            return id;
+        }
+        let id = u32::try_from(self.seqs.len()).expect("chain table overflow");
+        self.seqs.push(seq.into());
+        self.ids.insert(seq.into(), id);
+        id
+    }
+}
+
+/// A snapshot in integer form.
+struct Form {
+    /// Label id of each instruction, in snapshot order.
+    labels: Vec<u32>,
+    /// One [`edge_key`] per operand, sorted: the label-pair edge
+    /// multiset.
+    keys: Vec<u64>,
+}
+
+/// One enumerated snapshot: the label ids of every path the reference
+/// DFS emits, in emission order, concatenated.
+#[derive(Debug, Clone)]
+struct Enumeration {
+    /// The enumerated snapshot, kept to prove a later one equal.
+    snapshot: MirSnapshot,
+    /// Path labels back to back; path `k` ends at `ends[k]`.
+    labels: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+/// The incremental Δ-extractor. Label table, chain interner and window
+/// cache persist across passes, functions, and recompiles, so repeated
+/// changed regions (the same GVN rewrite firing on every hot function,
+/// say) are materialised once per process, not once per compilation.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalExtractor {
-    interner: ChainInterner,
-    /// run chain id → interned ids of all its contiguous windows (≥2).
-    run_windows: HashMap<u32, Arc<Vec<u32>>>,
-    /// Last enumerated snapshot, reused when the next record's
-    /// counterpart compares structurally equal.
-    enum_cache: Option<EnumCache>,
+    labels: Labels,
+    chains: Chains,
+    /// run chain id → ids of all its contiguous windows (≥2 labels).
+    run_windows: FastMap<u32, Box<[u32]>>,
+    /// Last enumerated snapshot, reused when the next snapshot to
+    /// enumerate compares structurally equal.
+    enumeration: Option<Enumeration>,
+    /// Scratch id → label table, reused by every [`Form`] build.
+    last_label: FastMap<u32, u32>,
     stats: IncrementalStats,
 }
 
@@ -146,7 +276,7 @@ impl IncrementalExtractor {
     /// Distinct sub-chains interned so far.
     #[must_use]
     pub fn interned_chains(&self) -> usize {
-        self.interner.len()
+        self.chains.seqs.len()
     }
 
     /// Incremental Algorithm 1 over a whole trace. Chain-for-chain equal
@@ -155,10 +285,11 @@ impl IncrementalExtractor {
         self.stats.traces += 1;
         let mut dna = Dna::with_slots(n_slots);
         let mut receipt = ExtractReceipt::default();
+        let mut last = None;
         for record in &trace.records {
             if record.slot < n_slots {
                 dna.deltas[record.slot] =
-                    self.delta_with_receipt(&record.before, &record.after, &mut receipt);
+                    self.delta(&record.before, &record.after, &mut last, &mut receipt);
             }
         }
         (dna, receipt)
@@ -168,182 +299,308 @@ impl IncrementalExtractor {
     /// [`super::extract_delta`].
     pub fn extract_delta(&mut self, before: &MirSnapshot, after: &MirSnapshot) -> PassDelta {
         let mut receipt = ExtractReceipt::default();
-        self.delta_with_receipt(before, after, &mut receipt)
+        self.delta(before, after, &mut None, &mut receipt)
     }
 
-    fn delta_with_receipt(
+    /// One pass's delta. `last` holds the most recent snapshot put in
+    /// integer form within this trace; its form stands in for `before`'s
+    /// when the two are proven equal, and `after`'s form replaces it.
+    fn delta<'t>(
         &mut self,
-        before: &MirSnapshot,
-        after: &MirSnapshot,
+        before: &'t MirSnapshot,
+        after: &'t MirSnapshot,
+        last: &mut Option<(&'t MirSnapshot, Form)>,
         receipt: &mut ExtractReceipt,
     ) -> PassDelta {
         let work = (before.len() + after.len()) as u64;
         receipt.cost_cycles += work * EDGE_DIFF_COST_PER_INSTR;
-        let counts_before = edge_counts(before);
-        let counts_after = edge_counts(after);
-        if counts_before == counts_after {
+        if std::ptr::eq(before, after) || before == after {
+            return self.skip(receipt);
+        }
+        let before_form = match last.take() {
+            Some((snap, form)) if std::ptr::eq(snap, before) || snap == before => form,
+            _ => self.form(before),
+        };
+        let after_form = self.form(after);
+        let delta = if before_form.keys == after_form.keys {
             // No label-pair multiplicity moved in either direction, so
             // the reference's changed-edge sets are both empty and its
             // diff emits nothing — whatever the chains are.
-            receipt.passes_skipped += 1;
-            self.stats.passes_skipped += 1;
-            return PassDelta::default();
-        }
-        receipt.passes_enumerated += 1;
-        self.stats.passes_enumerated += 1;
-        let removed_changed = changed_edges(&counts_before, &counts_after);
-        let added_changed = changed_edges(&counts_after, &counts_before);
-        PassDelta {
-            removed: self.side(before, &removed_changed, receipt),
-            added: self.side(after, &added_changed, receipt),
-        }
+            self.skip(receipt)
+        } else {
+            receipt.passes_enumerated += 1;
+            self.stats.passes_enumerated += 1;
+            let (removed, added) = changed_keys(&before_form.keys, &after_form.keys);
+            PassDelta {
+                removed: self.side(before, &before_form, &removed, receipt),
+                added: self.side(after, &after_form, &added, receipt),
+            }
+        };
+        *last = Some((after, after_form));
+        delta
     }
 
-    /// One delta side: enumerate (or reuse) the snapshot's id paths, then
-    /// collect interned windows of every maximal changed-edge run.
+    fn skip(&mut self, receipt: &mut ExtractReceipt) -> PassDelta {
+        receipt.passes_skipped += 1;
+        self.stats.passes_skipped += 1;
+        PassDelta::default()
+    }
+
+    /// `ir` in integer form. An operand's label is that of the *last*
+    /// instruction carrying its id (as `HashMap::insert` leaves the
+    /// oracle's table), [`UNKNOWN`] when none does.
+    fn form(&mut self, ir: &MirSnapshot) -> Form {
+        let labels: Vec<u32> = ir.instrs.iter().map(|i| self.labels.id(&i.label)).collect();
+        let last_label = &mut self.last_label;
+        last_label.clear();
+        let mut n_edges = 0;
+        for (i, &label) in ir.instrs.iter().zip(&labels) {
+            last_label.insert(i.id, label);
+            n_edges += i.operands.len();
+        }
+        let mut keys = Vec::with_capacity(n_edges);
+        for (i, &from) in ir.instrs.iter().zip(&labels) {
+            for o in &i.operands {
+                let to = last_label.get(o).copied().unwrap_or(UNKNOWN);
+                keys.push(edge_key(from, to));
+            }
+        }
+        keys.sort_unstable();
+        Form { labels, keys }
+    }
+
+    /// One delta side: enumerate (or reuse) the snapshot's paths, then
+    /// collect the interned windows of every maximal changed-edge run.
     fn side(
         &mut self,
         ir: &MirSnapshot,
-        changed: &HashSet<(Arc<str>, Arc<str>)>,
+        form: &Form,
+        changed: &[u64],
         receipt: &mut ExtractReceipt,
     ) -> BTreeSet<Chain> {
         if changed.is_empty() {
             // An empty changed set can never start a run.
             return BTreeSet::new();
         }
-        self.ensure_enumerated(ir, receipt);
-        let cache = self.enum_cache.as_ref().expect("just enumerated");
-        let unknown: Arc<str> = Arc::from("?");
-        let label = |id: u32| {
-            cache
-                .labels
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| unknown.clone())
-        };
-        // Per-id-pair changed verdicts, memoised so each distinct edge
-        // pays the label-pair hash once and every revisit is an integer
-        // lookup.
-        let mut pair_changed: HashMap<(u32, u32), bool> = HashMap::new();
-        let mut out_ids: HashSet<u32> = HashSet::new();
-        let mut run_lookups: Vec<(usize, usize)> = Vec::new();
-        for path in &cache.paths {
+        match &self.enumeration {
+            Some(e) if e.snapshot == *ir => self.stats.enum_reuses += 1,
+            _ => {
+                receipt.cost_cycles += ir.len() as u64 * ENUM_COST_PER_INSTR;
+                self.enumeration = Some(enumerate(ir, &form.labels));
+            }
+        }
+        let IncrementalExtractor {
+            labels,
+            chains,
+            run_windows,
+            enumeration,
+            stats,
+            ..
+        } = self;
+        let paths = enumeration.as_ref().expect("just enumerated");
+        let is_changed = |from: u32, to: u32| changed.binary_search(&edge_key(from, to)).is_ok();
+        let mut out: Vec<u32> = Vec::new();
+        let mut start = 0;
+        for &end in &paths.ends {
+            let path = &paths.labels[start..end];
+            start = end;
             receipt.cost_cycles += SCAN_COST_PER_CHAIN;
-            run_lookups.clear();
-            let mut start: Option<usize> = None;
-            for k in 0..path.len().saturating_sub(1) {
-                let edge_changed = *pair_changed
-                    .entry((path[k], path[k + 1]))
-                    .or_insert_with(|| changed.contains(&(label(path[k]), label(path[k + 1]))));
-                if edge_changed {
-                    if start.is_none() {
-                        start = Some(k);
-                    }
-                } else if let Some(s) = start.take() {
-                    if k + 1 - s >= 2 {
-                        run_lookups.push((s, k + 1));
-                    }
+            let mut crossed = false;
+            let mut k = 0;
+            while k + 1 < path.len() {
+                if !is_changed(path[k], path[k + 1]) {
+                    k += 1;
+                    continue;
                 }
-            }
-            if let Some(s) = start {
-                if path.len() - s >= 2 {
-                    run_lookups.push((s, path.len()));
+                let s = k;
+                while k + 1 < path.len() && is_changed(path[k], path[k + 1]) {
+                    k += 1;
                 }
-            }
-            if run_lookups.is_empty() {
-                receipt.chains_skipped += 1;
-                self.stats.chains_skipped += 1;
-                continue;
-            }
-            receipt.chains_enumerated += 1;
-            self.stats.chains_enumerated += 1;
-            for &(s, e) in &run_lookups {
-                let run: Chain = path[s..e].iter().map(|&id| label(id)).collect();
+                crossed = true;
+                let run = &path[s..=k];
                 receipt.cost_cycles += run.len() as u64 * RUN_INTERN_COST_PER_LABEL;
-                let run_id = self.interner.intern(&run);
-                let windows = match self.run_windows.get(&run_id) {
-                    Some(w) => {
-                        receipt.cost_cycles += RUN_CACHE_HIT_COST;
-                        self.stats.run_cache_hits += 1;
-                        Arc::clone(w)
+                let run_id = chains.intern(run);
+                if let Some(windows) = run_windows.get(&run_id) {
+                    receipt.cost_cycles += RUN_CACHE_HIT_COST;
+                    stats.run_cache_hits += 1;
+                    out.extend_from_slice(windows);
+                    continue;
+                }
+                let mut windows = Vec::new();
+                for len in 2..=run.len() {
+                    for window in run.windows(len) {
+                        receipt.cost_cycles += len as u64 * RUN_INTERN_COST_PER_LABEL;
+                        windows.push(chains.intern(window));
                     }
-                    None => {
-                        let mut ids = Vec::new();
-                        for len in 2..=run.len() {
-                            for start in 0..=(run.len() - len) {
-                                let window: Chain = run[start..start + len].to_vec();
-                                receipt.cost_cycles +=
-                                    window.len() as u64 * RUN_INTERN_COST_PER_LABEL;
-                                ids.push(self.interner.intern(&window));
-                            }
-                        }
-                        let ids = Arc::new(ids);
-                        self.run_windows.insert(run_id, Arc::clone(&ids));
-                        ids
-                    }
-                };
-                out_ids.extend(windows.iter().copied());
+                }
+                out.extend_from_slice(&windows);
+                run_windows.insert(run_id, windows.into());
+            }
+            if crossed {
+                receipt.chains_enumerated += 1;
+                stats.chains_enumerated += 1;
+            } else {
+                receipt.chains_skipped += 1;
+                stats.chains_skipped += 1;
             }
         }
-        out_ids
-            .into_iter()
-            .map(|id| self.interner.resolve(id).expect("id just interned").clone())
+        out.sort_unstable();
+        out.dedup();
+        out.iter()
+            .map(|&id| {
+                chains.seqs[id as usize]
+                    .iter()
+                    .map(|&l| Arc::clone(&labels.names[l as usize]))
+                    .collect()
+            })
             .collect()
-    }
-
-    /// Makes `enum_cache` hold `ir`'s id paths, reusing the previous
-    /// enumeration when the snapshots compare equal (adjacent trace
-    /// records share a snapshot: nothing mutates the IR between slots).
-    fn ensure_enumerated(&mut self, ir: &MirSnapshot, receipt: &mut ExtractReceipt) {
-        if let Some(cache) = &self.enum_cache {
-            if cache.snapshot == *ir {
-                self.stats.enum_reuses += 1;
-                return;
-            }
-        }
-        receipt.cost_cycles += ir.len() as u64 * ENUM_COST_PER_INSTR;
-        let graph = build_graph(ir);
-        let paths = enumerate_id_paths(&graph);
-        self.enum_cache = Some(EnumCache {
-            snapshot: ir.clone(),
-            labels: graph.labels,
-            paths,
-        });
     }
 }
 
-/// The reference DFS ([`super::make_chains`]) emitting instruction-id
-/// paths instead of label chains: same root order, same cycle guard,
-/// same emission points, same caps — so the path *set* is identical to
-/// the reference's chain set even when [`MAX_CHAINS`] binds.
-fn enumerate_id_paths(g: &DepGraph) -> Vec<Vec<u32>> {
-    let mut paths = Vec::new();
-    for &root in &g.roots {
-        let mut path: Vec<u32> = vec![root];
-        dfs_ids(g, root, &mut path, &mut paths);
-        if paths.len() >= MAX_CHAINS {
+/// The directed changed-edge sets of two sorted key multisets: keys
+/// whose multiplicity strictly drops from `before` to `after` (removed
+/// side) and strictly rises (added side), each sorted.
+fn changed_keys(before: &[u64], after: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    let (mut removed, mut added) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    while i < before.len() || j < after.len() {
+        let key = match (before.get(i), after.get(j)) {
+            (Some(&b), Some(&a)) => b.min(a),
+            (Some(&b), None) => b,
+            (None, Some(&a)) => a,
+            (None, None) => unreachable!("loop condition"),
+        };
+        let (i0, j0) = (i, j);
+        while before.get(i) == Some(&key) {
+            i += 1;
+        }
+        while after.get(j) == Some(&key) {
+            j += 1;
+        }
+        match (i - i0).cmp(&(j - j0)) {
+            std::cmp::Ordering::Greater => removed.push(key),
+            std::cmp::Ordering::Less => added.push(key),
+            std::cmp::Ordering::Equal => {}
+        }
+    }
+    (removed, added)
+}
+
+/// The reference dependency graph over dense node indices. Nodes are the
+/// ids of instructions with operands plus every operand id; a node's
+/// dependencies are the operands of every instruction carrying its id,
+/// in snapshot order, duplicates included.
+#[derive(Default)]
+struct Graph {
+    node_of: FastMap<u32, u32>,
+    ids: Vec<u32>,
+    deps: Vec<Vec<u32>>,
+    is_dep: Vec<bool>,
+}
+
+impl Graph {
+    fn node(&mut self, id: u32) -> u32 {
+        if let Some(&n) = self.node_of.get(&id) {
+            return n;
+        }
+        let n = u32::try_from(self.ids.len()).expect("graph overflow");
+        self.node_of.insert(id, n);
+        self.ids.push(id);
+        self.deps.push(Vec::new());
+        self.is_dep.push(false);
+        n
+    }
+}
+
+/// The reference DFS ([`super::make_chains`]) over `ir`: same root order
+/// (ascending id), same operand order, same cycle guard, same emission
+/// points, same caps — so the path *set* is identical to the reference's
+/// chain set even when [`MAX_CHAINS`] binds. `labels` is `ir`'s
+/// per-instruction label ids.
+fn enumerate(ir: &MirSnapshot, labels: &[u32]) -> Enumeration {
+    let mut g = Graph::default();
+    for v in &ir.instrs {
+        if v.operands.is_empty() {
+            continue;
+        }
+        let user = g.node(v.id);
+        for &o in &v.operands {
+            let dep = g.node(o);
+            g.deps[user as usize].push(dep);
+            g.is_dep[dep as usize] = true;
+        }
+    }
+    let mut node_label = vec![UNKNOWN; g.ids.len()];
+    for (v, &label) in ir.instrs.iter().zip(labels) {
+        if let Some(&n) = g.node_of.get(&v.id) {
+            node_label[n as usize] = label;
+        }
+    }
+    let mut roots: Vec<u32> = (0..g.ids.len() as u32)
+        .filter(|&n| !g.is_dep[n as usize])
+        .collect();
+    roots.sort_unstable_by_key(|&n| g.ids[n as usize]);
+    let mut dfs = Dfs {
+        deps: &g.deps,
+        node_label: &node_label,
+        on_path: vec![false; g.ids.len()],
+        path: Vec::with_capacity(MAX_CHAIN_LEN),
+        labels: Vec::new(),
+        ends: Vec::new(),
+    };
+    for root in roots {
+        dfs.path.push(root);
+        dfs.on_path[root as usize] = true;
+        dfs.visit(root);
+        dfs.on_path[root as usize] = false;
+        dfs.path.pop();
+        if dfs.ends.len() >= MAX_CHAINS {
             break;
         }
     }
-    paths
+    Enumeration {
+        snapshot: ir.clone(),
+        labels: dfs.labels,
+        ends: dfs.ends,
+    }
 }
 
-fn dfs_ids(g: &DepGraph, node: u32, path: &mut Vec<u32>, paths: &mut Vec<Vec<u32>>) {
-    if paths.len() >= MAX_CHAINS {
-        return;
-    }
-    let deps = g.deps.get(&node).map(Vec::as_slice).unwrap_or(&[]);
-    let extendable: Vec<u32> = deps.iter().copied().filter(|d| !path.contains(d)).collect();
-    if extendable.is_empty() || path.len() >= MAX_CHAIN_LEN {
-        paths.push(path.clone());
-        return;
-    }
-    for d in extendable {
-        path.push(d);
-        dfs_ids(g, d, path, paths);
-        path.pop();
-        if paths.len() >= MAX_CHAINS {
+struct Dfs<'g> {
+    deps: &'g [Vec<u32>],
+    node_label: &'g [u32],
+    on_path: Vec<bool>,
+    path: Vec<u32>,
+    labels: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+impl Dfs<'_> {
+    fn visit(&mut self, node: u32) {
+        if self.ends.len() >= MAX_CHAINS {
             return;
+        }
+        let all_deps = self.deps;
+        let deps = &all_deps[node as usize];
+        // Leaf, cycle guard, or depth cap: emit the current path.
+        if self.path.len() >= MAX_CHAIN_LEN || deps.iter().all(|&d| self.on_path[d as usize]) {
+            let node_label = self.node_label;
+            self.labels
+                .extend(self.path.iter().map(|&n| node_label[n as usize]));
+            self.ends.push(self.labels.len());
+            return;
+        }
+        for &d in deps {
+            if self.on_path[d as usize] {
+                continue;
+            }
+            self.path.push(d);
+            self.on_path[d as usize] = true;
+            self.visit(d);
+            self.on_path[d as usize] = false;
+            self.path.pop();
+            if self.ends.len() >= MAX_CHAINS {
+                return;
+            }
         }
     }
 }
