@@ -231,15 +231,37 @@ struct Form {
     keys: Vec<u64>,
 }
 
-/// One enumerated snapshot: the label ids of every path the reference
-/// DFS emits, in emission order, concatenated.
+/// One enumerated snapshot: its integer identity, kept to prove a later
+/// snapshot equal, and the label ids of every path the reference DFS
+/// emits, in emission order, concatenated.
 #[derive(Debug, Clone)]
 struct Enumeration {
-    /// The enumerated snapshot, kept to prove a later one equal.
-    snapshot: MirSnapshot,
+    /// `(id, label id, operand count)` of each instruction, in order.
+    instrs: Vec<(u32, u32, u32)>,
+    /// Every operand, in snapshot order.
+    operands: Vec<u32>,
     /// Path labels back to back; path `k` ends at `ends[k]`.
     labels: Vec<u32>,
     ends: Vec<usize>,
+}
+
+impl Enumeration {
+    /// Whether `ir`, with per-instruction label ids `labels`, is
+    /// structurally equal to the enumerated snapshot. Label ids are equal
+    /// exactly when the labels are, so no string is compared.
+    fn is_of(&self, ir: &MirSnapshot, labels: &[u32]) -> bool {
+        ir.len() == self.instrs.len()
+            && ir.instrs.iter().zip(labels).zip(&self.instrs).all(
+                |((i, &label), &(id, l, arity))| {
+                    i.id == id && label == l && i.operands.len() == arity as usize
+                },
+            )
+            && ir
+                .instrs
+                .iter()
+                .flat_map(|i| &i.operands)
+                .eq(&self.operands)
+    }
 }
 
 /// The incremental Δ-extractor. Label table, chain interner and window
@@ -383,7 +405,7 @@ impl IncrementalExtractor {
             return BTreeSet::new();
         }
         match &self.enumeration {
-            Some(e) if e.snapshot == *ir => self.stats.enum_reuses += 1,
+            Some(e) if e.is_of(ir, &form.labels) => self.stats.enum_reuses += 1,
             _ => {
                 receipt.cost_cycles += ir.len() as u64 * ENUM_COST_PER_INSTR;
                 self.enumeration = Some(enumerate(ir, &form.labels));
@@ -398,7 +420,15 @@ impl IncrementalExtractor {
             ..
         } = self;
         let paths = enumeration.as_ref().expect("just enumerated");
-        let is_changed = |from: u32, to: u32| changed.binary_search(&edge_key(from, to)).is_ok();
+        // Most edges leave a label no changed key starts from: one array
+        // lookup rejects them before the search.
+        let mut changed_from = vec![false; labels.names.len()];
+        for &key in changed {
+            changed_from[(key >> 32) as usize] = true;
+        }
+        let is_changed = |from: u32, to: u32| {
+            changed_from[from as usize] && changed.binary_search(&edge_key(from, to)).is_ok()
+        };
         let mut out: Vec<u32> = Vec::new();
         let mut start = 0;
         for &end in &paths.ends {
@@ -486,19 +516,14 @@ fn changed_keys(before: &[u64], after: &[u64]) -> (Vec<u64>, Vec<u64>) {
     (removed, added)
 }
 
-/// The reference dependency graph over dense node indices. Nodes are the
-/// ids of instructions with operands plus every operand id; a node's
-/// dependencies are the operands of every instruction carrying its id,
-/// in snapshot order, duplicates included.
-#[derive(Default)]
-struct Graph {
+/// Dense node indices for the ids of a dependency graph, assigned in
+/// order of first sight.
+struct Nodes {
     node_of: FastMap<u32, u32>,
     ids: Vec<u32>,
-    deps: Vec<Vec<u32>>,
-    is_dep: Vec<bool>,
 }
 
-impl Graph {
+impl Nodes {
     fn node(&mut self, id: u32) -> u32 {
         if let Some(&n) = self.node_of.get(&id) {
             return n;
@@ -506,8 +531,6 @@ impl Graph {
         let n = u32::try_from(self.ids.len()).expect("graph overflow");
         self.node_of.insert(id, n);
         self.ids.push(id);
-        self.deps.push(Vec::new());
-        self.is_dep.push(false);
         n
     }
 }
@@ -517,33 +540,67 @@ impl Graph {
 /// points, same caps — so the path *set* is identical to the reference's
 /// chain set even when [`MAX_CHAINS`] binds. `labels` is `ir`'s
 /// per-instruction label ids.
+///
+/// The graph is the oracle's: nodes are the ids of instructions with
+/// operands plus every operand id; a node's dependencies are the
+/// operands of every instruction carrying its id, in snapshot order,
+/// duplicates included; a node is labelled by the last instruction
+/// carrying its id, `"?"` when none does.
 fn enumerate(ir: &MirSnapshot, labels: &[u32]) -> Enumeration {
-    let mut g = Graph::default();
-    for v in &ir.instrs {
-        if v.operands.is_empty() {
-            continue;
-        }
-        let user = g.node(v.id);
-        for &o in &v.operands {
-            let dep = g.node(o);
-            g.deps[user as usize].push(dep);
-            g.is_dep[dep as usize] = true;
-        }
-    }
-    let mut node_label = vec![UNKNOWN; g.ids.len()];
+    let n_operands: usize = ir.instrs.iter().map(|i| i.operands.len()).sum();
+    let mut nodes = Nodes {
+        node_of: FastMap::with_capacity_and_hasher(ir.len() + n_operands, Default::default()),
+        ids: Vec::with_capacity(ir.len() + n_operands),
+    };
+    let mut instrs = Vec::with_capacity(ir.len());
+    let mut operands = Vec::with_capacity(n_operands);
+    // (user node, operand count) per instruction with operands, and the
+    // operand nodes back to back.
+    let mut users = Vec::with_capacity(ir.len());
+    let mut operand_nodes = Vec::with_capacity(n_operands);
     for (v, &label) in ir.instrs.iter().zip(labels) {
-        if let Some(&n) = g.node_of.get(&v.id) {
-            node_label[n as usize] = label;
+        let arity = u32::try_from(v.operands.len()).expect("operand count");
+        instrs.push((v.id, label, arity));
+        operands.extend_from_slice(&v.operands);
+        if arity > 0 {
+            users.push((nodes.node(v.id), v.operands.len()));
+            operand_nodes.extend(v.operands.iter().map(|&o| nodes.node(o)));
         }
     }
-    let mut roots: Vec<u32> = (0..g.ids.len() as u32)
-        .filter(|&n| !g.is_dep[n as usize])
-        .collect();
-    roots.sort_unstable_by_key(|&n| g.ids[n as usize]);
+    // Compressed adjacency: node `u`'s dependencies are
+    // `deps[start[u]..start[u + 1]]`.
+    let n = nodes.ids.len();
+    let mut start = vec![0usize; n + 1];
+    for &(user, arity) in &users {
+        start[user as usize + 1] += arity;
+    }
+    for u in 0..n {
+        start[u + 1] += start[u];
+    }
+    let mut fill = start.clone();
+    let mut deps = vec![0u32; n_operands];
+    let mut is_dep = vec![false; n];
+    let mut next = operand_nodes.iter();
+    for &(user, arity) in &users {
+        for &dep in next.by_ref().take(arity) {
+            deps[fill[user as usize]] = dep;
+            fill[user as usize] += 1;
+            is_dep[dep as usize] = true;
+        }
+    }
+    let mut node_label = vec![UNKNOWN; n];
+    for &(id, label, _) in &instrs {
+        if let Some(&node) = nodes.node_of.get(&id) {
+            node_label[node as usize] = label;
+        }
+    }
+    let mut roots: Vec<u32> = (0..n as u32).filter(|&u| !is_dep[u as usize]).collect();
+    roots.sort_unstable_by_key(|&u| nodes.ids[u as usize]);
     let mut dfs = Dfs {
-        deps: &g.deps,
+        start: &start,
+        deps: &deps,
         node_label: &node_label,
-        on_path: vec![false; g.ids.len()],
+        on_path: vec![false; n],
         path: Vec::with_capacity(MAX_CHAIN_LEN),
         labels: Vec::new(),
         ends: Vec::new(),
@@ -559,14 +616,16 @@ fn enumerate(ir: &MirSnapshot, labels: &[u32]) -> Enumeration {
         }
     }
     Enumeration {
-        snapshot: ir.clone(),
+        instrs,
+        operands,
         labels: dfs.labels,
         ends: dfs.ends,
     }
 }
 
 struct Dfs<'g> {
-    deps: &'g [Vec<u32>],
+    start: &'g [usize],
+    deps: &'g [u32],
     node_label: &'g [u32],
     on_path: Vec<bool>,
     path: Vec<u32>,
@@ -580,7 +639,7 @@ impl Dfs<'_> {
             return;
         }
         let all_deps = self.deps;
-        let deps = &all_deps[node as usize];
+        let deps = &all_deps[self.start[node as usize]..self.start[node as usize + 1]];
         // Leaf, cycle guard, or depth cap: emit the current path.
         if self.path.len() >= MAX_CHAIN_LEN || deps.iter().all(|&d| self.on_path[d as usize]) {
             let node_label = self.node_label;
