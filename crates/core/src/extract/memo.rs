@@ -223,17 +223,23 @@ impl DnaMemo {
         if inner.max_entries == 0 {
             return;
         }
+        let hash = key.structural_hash();
+        // A key already stored (two workers missing on the same function)
+        // is a no-op: it must not count as an insertion, and above all
+        // must not trigger the wholesale clear of a full memo.
+        if inner
+            .entries
+            .get(&hash)
+            .is_some_and(|bucket| bucket.iter().any(|(k, _)| *k == key))
+        {
+            return;
+        }
         if inner.cached >= inner.max_entries {
             inner.entries.clear();
             inner.cached = 0;
             inner.stats.evictions += 1;
         }
-        let hash = key.structural_hash();
-        let bucket = inner.entries.entry(hash).or_default();
-        if bucket.iter().any(|(k, _)| *k == key) {
-            return;
-        }
-        bucket.push((key, dna));
+        inner.entries.entry(hash).or_default().push((key, dna));
         inner.cached += 1;
         inner.stats.insertions += 1;
     }
@@ -383,6 +389,27 @@ mod tests {
         }
         assert_eq!(memo.stats().evictions, 1);
         assert_eq!(memo.len(), 1);
+    }
+
+    #[test]
+    fn duplicate_insert_into_a_full_memo_keeps_every_entry() {
+        let memo = DnaMemo::with_capacity(2);
+        let keys: Vec<MemoKey> = [["return", "add"], ["return", "mul"]]
+            .iter()
+            .map(|labels| MemoKey::from_trace(&trace(labels, 1, "GVN"), 8, 0).unwrap())
+            .collect();
+        for key in &keys {
+            memo.insert(key.clone(), some_dna());
+        }
+        // A second worker missing on the same function stores it again.
+        memo.insert(keys[0].clone(), some_dna());
+        let stats = memo.stats();
+        assert_eq!(stats.evictions, 0, "{stats:?}");
+        assert_eq!(stats.insertions, 2, "{stats:?}");
+        assert_eq!(memo.len(), 2);
+        for key in &keys {
+            assert_eq!(memo.lookup(key), Some(some_dna()));
+        }
     }
 
     #[test]

@@ -38,16 +38,16 @@ pub const MAX_CHAINS: usize = 4096;
 pub const MAX_CHAIN_LEN: usize = 48;
 
 /// A dependency graph over one snapshot.
-pub(crate) struct DepGraph {
+struct DepGraph {
     /// node id -> label
-    pub(crate) labels: HashMap<u32, Arc<str>>,
+    labels: HashMap<u32, Arc<str>>,
     /// node id -> dependencies (operands)
-    pub(crate) deps: HashMap<u32, Vec<u32>>,
+    deps: HashMap<u32, Vec<u32>>,
     /// ids that are not a dependency of anyone
-    pub(crate) roots: Vec<u32>,
+    roots: Vec<u32>,
 }
 
-pub(crate) fn build_graph(ir: &MirSnapshot) -> DepGraph {
+fn build_graph(ir: &MirSnapshot) -> DepGraph {
     let mut labels: HashMap<u32, Arc<str>> = HashMap::new();
     let mut deps: HashMap<u32, Vec<u32>> = HashMap::new();
     let mut is_dep: HashSet<u32> = HashSet::new();
@@ -125,7 +125,7 @@ fn dfs(g: &DepGraph, node: u32, path: &mut Vec<u32>, chains: &mut Vec<Chain>, un
 /// even when an identically-labeled edge survives elsewhere in the
 /// function — e.g. one of two `loadelement→boundscheck` accesses losing
 /// its check.
-pub(crate) fn edge_counts(ir: &MirSnapshot) -> HashMap<(Arc<str>, Arc<str>), usize> {
+fn edge_counts(ir: &MirSnapshot) -> HashMap<(Arc<str>, Arc<str>), usize> {
     let mut labels: HashMap<u32, Arc<str>> = HashMap::new();
     for i in &ir.instrs {
         labels.insert(i.id, i.label.clone());
@@ -143,7 +143,7 @@ pub(crate) fn edge_counts(ir: &MirSnapshot) -> HashMap<(Arc<str>, Arc<str>), usi
 }
 
 /// Edges whose multiplicity strictly dropped from `from` to `to`.
-pub(crate) fn changed_edges(
+fn changed_edges(
     from: &HashMap<(Arc<str>, Arc<str>), usize>,
     to: &HashMap<(Arc<str>, Arc<str>), usize>,
 ) -> HashSet<(Arc<str>, Arc<str>)> {
