@@ -5,8 +5,11 @@
 //! fast path, cached enumeration, interned run windows) must return
 //! chain-for-chain identical DNA on every trace. These tests sweep seeded
 //! random MIR snapshot pairs — including renumberings, no-op passes,
-//! pathological high-fanout graphs that bind the chain caps, and
-//! chained records sharing snapshots — the full VDC catalog, the workload
+//! pathological high-fanout graphs that bind the chain caps, chained
+//! records sharing snapshots, 32-record pipeline-shaped traces of mostly
+//! no-op and renumbering passes, duplicate instruction ids, a literal
+//! `"?"` label, a slot overwritten by a later empty record, and equal
+//! labels in distinct allocations — the full VDC catalog, the workload
 //! suite at engine level, and fail on the first divergence.
 
 use std::sync::Arc;
@@ -43,6 +46,19 @@ const PASS_NAMES: &[&str] = &[
 
 const SLOTS: usize = 16;
 
+/// Slots of a pipeline-shaped trace: one record per slot, in order.
+const PIPELINE_SLOTS: usize = 32;
+
+/// A label for a random instruction: mostly from [`LABELS`], sometimes
+/// a literal `"?"` — the same text the oracle gives a dangling operand.
+fn label(rng: &mut Rng) -> Arc<str> {
+    if rng.gen_bool(0.03) {
+        Arc::from("?")
+    } else {
+        Arc::from(*rng.pick(LABELS))
+    }
+}
+
 fn instr(rng: &mut Rng, id: u32, prior: &[u32]) -> SnapInstr {
     let n_ops = rng.gen_range(0..3usize);
     let operands = (0..n_ops)
@@ -58,7 +74,7 @@ fn instr(rng: &mut Rng, id: u32, prior: &[u32]) -> SnapInstr {
         .collect();
     SnapInstr {
         id,
-        label: Arc::from(*rng.pick(LABELS)),
+        label: label(rng),
         operands,
     }
 }
@@ -70,10 +86,46 @@ fn random_snapshot(rng: &mut Rng, max_instrs: usize) -> MirSnapshot {
     let mut next = 0u32;
     for _ in 0..n {
         next += rng.gen_range(1..3u32); // occasional id gaps
-        instrs.push(instr(rng, next, &ids));
-        ids.push(next);
+                                        // Occasionally reuse an id: the oracle's label table keeps the
+                                        // last instruction's label, its dependency map appends operands.
+        let id = if !ids.is_empty() && rng.gen_bool(0.05) {
+            *rng.pick(&ids)
+        } else {
+            next
+        };
+        instrs.push(instr(rng, id, &ids));
+        ids.push(id);
     }
     MirSnapshot { instrs }
+}
+
+/// `ir` with every label copied into a fresh allocation: structurally
+/// equal, but no two labels share an `Arc` with the original.
+fn reallocated(ir: &MirSnapshot) -> MirSnapshot {
+    MirSnapshot {
+        instrs: ir
+            .instrs
+            .iter()
+            .map(|i| SnapInstr {
+                label: Arc::from(&*i.label),
+                ..i.clone()
+            })
+            .collect(),
+    }
+}
+
+/// `ir` with every id and operand shifted: the renumbering a
+/// `RenumberInstructions` slot performs.
+fn renumbered(rng: &mut Rng, ir: &MirSnapshot) -> MirSnapshot {
+    let shift = rng.gen_range(1..50u32);
+    let mut after = ir.clone();
+    for i in &mut after.instrs {
+        i.id += shift;
+        for o in &mut i.operands {
+            *o += shift;
+        }
+    }
+    after
 }
 
 /// A dense layered graph wide and deep enough that the reference
@@ -109,17 +161,15 @@ fn pathological_snapshot(rng: &mut Rng) -> MirSnapshot {
 /// cases the incremental fast path must prove empty without enumerating.
 fn mutate(rng: &mut Rng, before: &MirSnapshot) -> MirSnapshot {
     let mut after = before.clone();
-    match rng.gen_range(0..10u32) {
+    match rng.gen_range(0..11u32) {
         0 => {} // no-op pass: identical snapshot
-        1 => {
-            // Pure renumbering: same label structure, shifted ids.
-            let shift = rng.gen_range(1..50u32);
-            for i in &mut after.instrs {
-                i.id += shift;
-                for o in &mut i.operands {
-                    *o += shift;
-                }
-            }
+        1 => after = renumbered(rng, before),
+        2 => after = reallocated(before),
+        3 if before.instrs.len() >= 2 => {
+            // Give one instruction another's id.
+            let from = rng.gen_range(0..after.instrs.len());
+            let to = rng.gen_range(0..after.instrs.len());
+            after.instrs[to].id = after.instrs[from].id;
         }
         _ => {
             for _ in 0..rng.gen_range(1..4usize) {
@@ -140,7 +190,7 @@ fn mutate(rng: &mut Rng, before: &MirSnapshot) -> MirSnapshot {
                     }
                     2 => {
                         let at = rng.gen_range(0..after.instrs.len());
-                        after.instrs[at].label = Arc::from(*rng.pick(LABELS));
+                        after.instrs[at].label = label(rng);
                     }
                     _ => {
                         let at = rng.gen_range(0..after.instrs.len());
@@ -195,6 +245,43 @@ fn random_trace(rng: &mut Rng, n_records: usize, pathological: bool) -> PassTrac
     }
 }
 
+/// A trace shaped like the real pipeline: one record per slot in
+/// order, each `before` the previous `after` (a copy, as snapshot capture
+/// makes), mostly no-op and renumbering passes with a few real changes.
+/// Now and then a slot runs twice, the second time as a no-op, so an
+/// empty record overwrites a non-empty delta at the same slot.
+fn pipeline_trace(rng: &mut Rng) -> PassTrace {
+    let mut current = random_snapshot(rng, 24);
+    let mut records = Vec::new();
+    for slot in 0..PIPELINE_SLOTS {
+        let after = match rng.gen_range(0..16u32) {
+            0..=8 => current.clone(),
+            9..=10 => renumbered(rng, &current),
+            11 => reallocated(&current),
+            _ => mutate(rng, &current),
+        };
+        records.push(PassRecord {
+            slot,
+            name: PASS_NAMES[slot % PASS_NAMES.len()],
+            before: current.clone(),
+            after: after.clone(),
+        });
+        if rng.gen_bool(0.1) {
+            records.push(PassRecord {
+                slot,
+                name: PASS_NAMES[slot % PASS_NAMES.len()],
+                before: after.clone(),
+                after: after.clone(),
+            });
+        }
+        current = after;
+    }
+    PassTrace {
+        function: "f".into(),
+        records,
+    }
+}
+
 /// Runs seeded random traces through both extractors and asserts
 /// chain-for-chain identical DNA (whole-trace) and identical per-pass
 /// deltas (pairwise). One `IncrementalExtractor` persists across the
@@ -204,17 +291,25 @@ fn sweep(seed: u64, traces: usize) -> usize {
     let mut rng = Rng::seed_from_u64(seed);
     let mut incremental = IncrementalExtractor::new();
     let mut pairs = 0;
+    let mut seen = Coverage::default();
     for case in 0..traces {
-        let pathological = rng.gen_bool(0.05);
-        let n_records = rng.gen_range(1..5usize);
-        let trace = random_trace(&mut rng, n_records, pathological);
+        let shape = rng.gen_range(0..20u32);
+        let pathological = shape == 0;
+        let (trace, n_slots) = if (1..=2).contains(&shape) {
+            seen.pipeline_traces += 1;
+            (pipeline_trace(&mut rng), PIPELINE_SLOTS)
+        } else {
+            let n_records = rng.gen_range(1..5usize);
+            (random_trace(&mut rng, n_records, pathological), SLOTS)
+        };
         pairs += trace.records.len();
-        let expected = extract_dna(&trace, SLOTS);
-        let (got, receipt) = incremental.extract_dna(&trace, SLOTS);
+        let expected = extract_dna(&trace, n_slots);
+        let (got, receipt) = incremental.extract_dna(&trace, n_slots);
         assert_eq!(
             got, expected,
-            "whole-trace divergence: seed={seed} case={case} pathological={pathological} receipt={receipt:?}"
+            "whole-trace divergence: seed={seed} case={case} shape={shape} receipt={receipt:?}"
         );
+        let mut filled = vec![false; n_slots];
         for (i, r) in trace.records.iter().enumerate() {
             let expected = extract_delta(&r.before, &r.after);
             let got = incremental.extract_delta(&r.before, &r.after);
@@ -222,6 +317,7 @@ fn sweep(seed: u64, traces: usize) -> usize {
                 got, expected,
                 "per-pass divergence: seed={seed} case={case} record={i}"
             );
+            seen.note(r, &expected, &mut filled);
         }
     }
     let stats = incremental.stats();
@@ -229,7 +325,60 @@ fn sweep(seed: u64, traces: usize) -> usize {
         stats.passes_skipped > 0 && stats.passes_enumerated > 0,
         "sweep never exercised both the fast path and the slow path: {stats:?}"
     );
+    assert!(seen.all_exercised(), "sweep missed a case: {seen:?}");
     pairs
+}
+
+/// How often the sweep hit each corner case the extractors must agree
+/// on.
+#[derive(Debug, Default)]
+struct Coverage {
+    pipeline_traces: usize,
+    duplicate_ids: usize,
+    literal_unknown_labels: usize,
+    empty_after_nonempty_slot: usize,
+    reallocated_equal: usize,
+}
+
+impl Coverage {
+    /// Tallies one record; `filled[slot]` tracks whether an earlier
+    /// record of the trace left a non-empty delta at that slot.
+    fn note(&mut self, r: &PassRecord, delta: &jitbull::PassDelta, filled: &mut [bool]) {
+        for ir in [&r.before, &r.after] {
+            let mut ids: Vec<u32> = ir.instrs.iter().map(|i| i.id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            if ids.len() < ir.instrs.len() {
+                self.duplicate_ids += 1;
+            }
+            if ir.instrs.iter().any(|i| &*i.label == "?") {
+                self.literal_unknown_labels += 1;
+            }
+        }
+        let shares_a_label = r
+            .before
+            .instrs
+            .iter()
+            .zip(&r.after.instrs)
+            .any(|(b, a)| Arc::ptr_eq(&b.label, &a.label));
+        if r.before == r.after && !r.before.is_empty() && !shares_a_label {
+            self.reallocated_equal += 1;
+        }
+        if let Some(slot) = filled.get_mut(r.slot) {
+            if *slot && delta.is_empty() {
+                self.empty_after_nonempty_slot += 1;
+            }
+            *slot = !delta.is_empty();
+        }
+    }
+
+    fn all_exercised(&self) -> bool {
+        self.pipeline_traces > 0
+            && self.duplicate_ids > 0
+            && self.literal_unknown_labels > 0
+            && self.empty_after_nonempty_slot > 0
+            && self.reallocated_equal > 0
+    }
 }
 
 /// The headline differential: ≥10k seeded random snapshot pairs, zero
