@@ -119,9 +119,10 @@ const UNKNOWN: u32 = 0;
 
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// The multiply-rotate hasher rustc uses for its own tables. Every key
-/// here is a short label or a small integer the compiler produced, so
-/// SipHash's flood resistance buys nothing and would cost most of each
+/// The multiply-rotate hasher rustc uses for its own tables, for keys
+/// a script cannot choose: opcode labels (a fixed set of mnemonics),
+/// instruction ids and chain ids the extractor assigns itself. SipHash's
+/// flood resistance buys nothing there and would cost most of each
 /// lookup.
 #[derive(Debug, Default, Clone, Copy)]
 struct FastHasher(u64);
@@ -203,10 +204,12 @@ impl Labels {
     }
 }
 
-/// Sub-chains interned by label-id sequence.
+/// Sub-chains interned by label-id sequence. Which sequences occur is
+/// up to the script being compiled, so this table keeps the default
+/// flood-resistant hasher.
 #[derive(Debug, Clone, Default)]
 struct Chains {
-    ids: FastMap<Box<[u32]>, u32>,
+    ids: HashMap<Box<[u32]>, u32>,
     seqs: Vec<Box<[u32]>>,
 }
 
