@@ -52,7 +52,6 @@
 //! pins the cost accounting.
 
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use jitbull_mir::{MirSnapshot, PassTrace};
@@ -84,7 +83,8 @@ pub struct ExtractReceipt {
     pub memo_hit: bool,
     /// Traced passes whose chains were enumerated (≥1 side changed).
     pub passes_enumerated: u64,
-    /// Traced passes proven empty by the edge-multiset fast path.
+    /// Traced passes proven empty without enumeration (equal snapshots
+    /// or equal edge keys).
     pub passes_skipped: u64,
     /// Enumerated paths that crossed ≥1 changed edge (materialised).
     pub chains_enumerated: u64,
@@ -117,57 +117,6 @@ pub struct IncrementalStats {
 /// instruction of the snapshot carries.
 const UNKNOWN: u32 = 0;
 
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
-
-/// The multiply-rotate hasher rustc uses for its own tables, for keys
-/// a script cannot choose: opcode labels (a fixed set of mnemonics),
-/// instruction ids and chain ids the extractor assigns itself. SipHash's
-/// flood resistance buys nothing there and would cost most of each
-/// lookup.
-#[derive(Debug, Default, Clone, Copy)]
-struct FastHasher(u64);
-
-impl FastHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FastHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut w = [0u8; 8];
-            w[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(w));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The `(user, operand)` label pair of one edge as a single sortable key.
 fn edge_key(from: u32, to: u32) -> u64 {
     u64::from(from) << 32 | u64::from(to)
@@ -178,7 +127,7 @@ fn edge_key(from: u32, to: u32) -> u64 {
 /// dangling operand resolve alike, as they do in the oracle.
 #[derive(Debug, Clone)]
 struct Labels {
-    ids: FastMap<Arc<str>, u32>,
+    ids: HashMap<Arc<str>, u32>,
     names: Vec<Arc<str>>,
 }
 
@@ -186,7 +135,7 @@ impl Default for Labels {
     fn default() -> Self {
         let unknown: Arc<str> = Arc::from("?");
         Labels {
-            ids: [(Arc::clone(&unknown), UNKNOWN)].into_iter().collect(),
+            ids: HashMap::from([(Arc::clone(&unknown), UNKNOWN)]),
             names: vec![unknown],
         }
     }
@@ -204,9 +153,7 @@ impl Labels {
     }
 }
 
-/// Sub-chains interned by label-id sequence. Which sequences occur is
-/// up to the script being compiled, so this table keeps the default
-/// flood-resistant hasher.
+/// Sub-chains interned by label-id sequence.
 #[derive(Debug, Clone, Default)]
 struct Chains {
     ids: HashMap<Box<[u32]>, u32>,
@@ -276,12 +223,12 @@ pub struct IncrementalExtractor {
     labels: Labels,
     chains: Chains,
     /// run chain id → ids of all its contiguous windows (≥2 labels).
-    run_windows: FastMap<u32, Box<[u32]>>,
+    run_windows: HashMap<u32, Box<[u32]>>,
     /// Last enumerated snapshot, reused when the next snapshot to
     /// enumerate compares structurally equal.
     enumeration: Option<Enumeration>,
     /// Scratch id → label table, reused by every [`Form`] build.
-    last_label: FastMap<u32, u32>,
+    last_label: HashMap<u32, u32>,
     stats: IncrementalStats,
 }
 
@@ -522,7 +469,7 @@ fn changed_keys(before: &[u64], after: &[u64]) -> (Vec<u64>, Vec<u64>) {
 /// Dense node indices for the ids of a dependency graph, assigned in
 /// order of first sight.
 struct Nodes {
-    node_of: FastMap<u32, u32>,
+    node_of: HashMap<u32, u32>,
     ids: Vec<u32>,
 }
 
@@ -552,7 +499,7 @@ impl Nodes {
 fn enumerate(ir: &MirSnapshot, labels: &[u32]) -> Enumeration {
     let n_operands: usize = ir.instrs.iter().map(|i| i.operands.len()).sum();
     let mut nodes = Nodes {
-        node_of: FastMap::with_capacity_and_hasher(ir.len() + n_operands, Default::default()),
+        node_of: HashMap::with_capacity(ir.len() + n_operands),
         ids: Vec::with_capacity(ir.len() + n_operands),
     };
     let mut instrs = Vec::with_capacity(ir.len());
