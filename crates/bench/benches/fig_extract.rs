@@ -21,9 +21,9 @@ use jitbull_workloads::{all_workloads, run_workload, workload};
 /// Floor on the wall-clock ratio of `extract_dna` to a cold
 /// `IncrementalExtractor` over the suite's traced compiles (min of
 /// samples each, same run). On a 2-vCPU Xeon VM the string-keyed
-/// incremental extractor measured 3.3x and the integer one 16–20x, so
-/// the floor rejects the former with room to spare for the latter.
-const SUITE_WALL_RATIO_FLOOR: f64 = 10.0;
+/// incremental extractor measured 3.3x and the integer one 16x, so the
+/// floor rejects the former and leaves the latter a 2x margin.
+const SUITE_WALL_RATIO_FLOOR: f64 = 8.0;
 
 fn main() {
     let w = workload("Splay").expect("workload exists");
