@@ -1,9 +1,10 @@
 //! Golden `repro` reports: the exact stdout of `repro obs`, `repro
-//! security` and `repro fig4`, checked into the workspace's
+//! security`, `repro fig4` and `repro fig6`, checked into the workspace's
 //! `tests/golden/`. Each report is a deterministic function of the cycle
 //! model, so every byte is pinned: guard cycles per workload, the
 //! extractor's pass-skip and chain-skip receipts, the `repro obs`
-//! delta-0 line, the 21/21 security table and the Figure 4 rates.
+//! delta-0 line, the 21/21 security table, the Figure 4 rates and the
+//! Figure 6 overheads with their naive-vs-indexed comparator cycles.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -90,4 +91,12 @@ fn repro_security_matches_golden() {
 #[test]
 fn repro_fig4_matches_golden() {
     check("fig4");
+}
+
+/// Figure 6 runs every octane workload at eight database sizes (~25 s
+/// in release, several minutes unoptimized), so it runs in release only.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: ~25 s optimized")]
+fn repro_fig6_matches_golden() {
+    check("fig6");
 }
