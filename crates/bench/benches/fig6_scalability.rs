@@ -1,8 +1,8 @@
 //! Wall-clock bench for the Figure-6 database-size sweep on one workload,
-//! run once per comparator mode (naive reference vs indexed pipeline),
-//! plus a kernel microbench of the comparator itself.
+//! plus a kernel microbench of the comparator itself (naive reference
+//! loop vs indexed pipeline).
 
-use jitbull::{ComparatorIndex, ComparatorMode, CompareConfig, IndexConfig};
+use jitbull::{ComparatorIndex, CompareConfig, IndexConfig};
 use jitbull_bench::figures::db_with;
 use jitbull_bench::timing::bench;
 use jitbull_jit::engine::EngineConfig;
@@ -11,26 +11,19 @@ use jitbull_workloads::{run_workload, workload};
 fn main() {
     let w = workload("Splay").expect("workload exists");
     println!("fig6_splay_db_size");
-    for mode in [ComparatorMode::Reference, ComparatorMode::Indexed] {
-        let tag = match mode {
-            ComparatorMode::Reference => "ref",
-            ComparatorMode::Indexed => "idx",
-        };
-        for n in [1usize, 2, 4, 8] {
-            let (db, vulns) = db_with(n);
-            bench(&format!("db_size_{n}_{tag}"), 2, 10, || {
-                run_workload(
-                    &w,
-                    EngineConfig {
-                        vulns: vulns.clone(),
-                        comparator: mode,
-                        ..Default::default()
-                    },
-                    Some(db.clone()),
-                )
-                .unwrap()
-            });
-        }
+    for n in [1usize, 2, 4, 8] {
+        let (db, vulns) = db_with(n);
+        bench(&format!("db_size_{n}_idx"), 2, 10, || {
+            run_workload(
+                &w,
+                EngineConfig {
+                    vulns: vulns.clone(),
+                    ..Default::default()
+                },
+                Some(db.clone()),
+            )
+            .unwrap()
+        });
     }
 
     // Comparator kernel in isolation: one DNA queried against the full

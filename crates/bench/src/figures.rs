@@ -1,7 +1,7 @@
 //! Figures 4, 5, and 6: false-positive rates, execution times, and
 //! database-size scalability on the workload suite.
 
-use jitbull::{ComparatorMode, DnaDatabase};
+use jitbull::DnaDatabase;
 use jitbull_jit::engine::EngineConfig;
 use jitbull_jit::{CveId, VulnConfig};
 use jitbull_vdc::{build_database, vdc};
@@ -282,8 +282,8 @@ impl Fig6ComparatorRow {
 }
 
 /// Runs the naive-vs-indexed comparator cost sweep behind Figure 6:
-/// the same workloads and databases, once per [`ComparatorMode`],
-/// reporting each run's `analysis_cycles`.
+/// one production run per workload and database, priced with the naive
+/// comparator and as charged ([`crate::corpus::replay`]).
 pub fn fig6_comparator(workloads: &[Workload], sizes: &[usize]) -> Vec<Fig6ComparatorRow> {
     let dbs: Vec<_> = sizes.iter().map(|&n| db_with(n)).collect();
     workloads
@@ -292,20 +292,8 @@ pub fn fig6_comparator(workloads: &[Workload], sizes: &[usize]) -> Vec<Fig6Compa
             let cycles = dbs
                 .iter()
                 .map(|(db, vulns)| {
-                    let run = |mode: ComparatorMode| {
-                        run_workload(
-                            w,
-                            EngineConfig {
-                                vulns: vulns.clone(),
-                                comparator: mode,
-                                ..Default::default()
-                            },
-                            Some(db.clone()),
-                        )
-                        .expect("workload runs")
-                        .analysis_cycles
-                    };
-                    (run(ComparatorMode::Reference), run(ComparatorMode::Indexed))
+                    let r = crate::corpus::workload_replay(w, db, vulns);
+                    (r.reference_comparator_cycles(), r.production_cycles())
                 })
                 .collect();
             Fig6ComparatorRow {

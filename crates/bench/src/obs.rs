@@ -144,51 +144,22 @@ pub fn empty_db_overhead(w: &Workload) -> (u64, u64) {
 }
 
 /// Per-workload naive-vs-indexed comparator cost: simulated analysis
-/// cycles for the same run under each [`jitbull::ComparatorMode`].
+/// cycles of one production run, priced with the naive comparator and
+/// as charged ([`crate::corpus::replay`]).
 pub fn comparator_cycles(w: &Workload, n_vdcs: usize) -> (u64, u64) {
     let (db, vulns) = db_with(n_vdcs);
-    let run = |mode: jitbull::ComparatorMode| {
-        run_workload(
-            w,
-            EngineConfig {
-                vulns: vulns.clone(),
-                comparator: mode,
-                ..Default::default()
-            },
-            Some(db.clone()),
-        )
-        .expect("workload runs")
-        .analysis_cycles
-    };
-    (
-        run(jitbull::ComparatorMode::Reference),
-        run(jitbull::ComparatorMode::Indexed),
-    )
+    let r = crate::corpus::workload_replay(w, &db, &vulns);
+    (r.reference_comparator_cycles(), r.production_cycles())
 }
 
 /// Per-workload naive-vs-incremental extractor cost: simulated analysis
-/// cycles for the same run under each [`jitbull::ExtractorMode`] (fresh
-/// memo per run, so this measures the first-compile structural-diff win,
-/// not memo hits).
+/// cycles of one production run (fresh memo, so this measures the
+/// first-compile structural-diff win, not memo hits), priced with the
+/// naive extractor and as charged.
 pub fn extractor_cycles(w: &Workload, n_vdcs: usize) -> (u64, u64) {
     let (db, vulns) = db_with(n_vdcs);
-    let run = |mode: jitbull::ExtractorMode| {
-        run_workload(
-            w,
-            EngineConfig {
-                vulns: vulns.clone(),
-                extractor: mode,
-                ..Default::default()
-            },
-            Some(db.clone()),
-        )
-        .expect("workload runs")
-        .analysis_cycles
-    };
-    (
-        run(jitbull::ExtractorMode::Reference),
-        run(jitbull::ExtractorMode::Incremental),
-    )
+    let r = crate::corpus::workload_replay(w, &db, &vulns);
+    (r.reference_extractor_cycles(), r.production_cycles())
 }
 
 /// Renders the per-workload summary table.

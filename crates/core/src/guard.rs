@@ -13,36 +13,7 @@ use crate::dna::Dna;
 use crate::extract::incremental::{ExtractReceipt, IncrementalExtractor, IncrementalStats};
 use crate::extract::memo::{DnaMemo, MemoKey, MemoStats, MEMO_HIT_COST, MEMO_KEY_COST_PER_INSTR};
 use crate::extract::{extract_dna, trace_work};
-use crate::index::{ComparatorIndex, IndexConfig, IndexStats, QueryReceipt};
-
-/// Which Δ-comparator implementation a [`Guard`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ComparatorMode {
-    /// The interned / prefiltered / cached comparator pipeline
-    /// ([`crate::index`]) — the production path.
-    #[default]
-    Indexed,
-    /// The naive normative loop over [`crate::compare::reference`] —
-    /// the oracle the differential harness compares against, and the
-    /// baseline the fig6 bench reports speedups over.
-    Reference,
-}
-
-/// Which Δ-extractor implementation a [`Guard`] runs. Orthogonal to
-/// [`ComparatorMode`]: extraction produces the DNA, comparison judges it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExtractorMode {
-    /// The incremental extractor ([`crate::extract::incremental`]) in
-    /// front of the shared DNA memo ([`crate::extract::memo`]) — the
-    /// production path.
-    #[default]
-    Incremental,
-    /// The naive normative [`crate::extract::extract_dna`] — the
-    /// Algorithm 1 oracle the extractor differential harness compares
-    /// against, and the baseline the `fig_extract` bench reports
-    /// speedups over.
-    Reference,
-}
+use crate::index::{ComparatorIndex, IndexStats, QueryReceipt};
 
 /// Cycle cost charged per instruction touched during Δ extraction.
 pub const EXTRACT_COST_PER_INSTR: u64 = 120;
@@ -60,6 +31,8 @@ pub struct Analysis {
     pub matches: Vec<(String, String, Vec<usize>)>,
     /// Simulated cycles the analysis consumed (extraction + comparison).
     pub cost_cycles: u64,
+    /// The extraction share of `cost_cycles`.
+    pub extract_cycles: u64,
     /// The extracted DNA (kept so callers can install it into a DB —
     /// that's exactly how VDC DNA is produced in step 1).
     pub dna: Dna,
@@ -78,8 +51,6 @@ pub struct Analysis {
 pub struct Guard {
     db: DnaDatabase,
     config: CompareConfig,
-    mode: ComparatorMode,
-    extractor: ExtractorMode,
     /// Lazily (re)built comparator index over `db`; interior-mutable so
     /// `analyze(&self)` can populate caches. Cloning a guard clones the
     /// index too — valid, because the clone starts from identical
@@ -105,18 +76,11 @@ pub struct Guard {
 }
 
 impl Guard {
-    /// Creates a guard over a database (indexed comparator).
+    /// Creates a guard over a database.
     pub fn new(db: DnaDatabase, config: CompareConfig) -> Self {
-        Guard::with_comparator(db, config, ComparatorMode::Indexed)
-    }
-
-    /// Creates a guard with an explicit comparator implementation.
-    pub fn with_comparator(db: DnaDatabase, config: CompareConfig, mode: ComparatorMode) -> Self {
         Guard {
             db,
             config,
-            mode,
-            extractor: ExtractorMode::default(),
             index: RefCell::new(ComparatorIndex::default()),
             incremental: RefCell::new(IncrementalExtractor::default()),
             memo: DnaMemo::default(),
@@ -131,26 +95,6 @@ impl Guard {
     /// exercising the poison-purge recovery path.
     pub fn set_fault_injector(&mut self, faults: FaultInjector) {
         self.faults = faults;
-    }
-
-    /// The comparator implementation in use.
-    pub fn comparator_mode(&self) -> ComparatorMode {
-        self.mode
-    }
-
-    /// Switches the comparator implementation.
-    pub fn set_comparator_mode(&mut self, mode: ComparatorMode) {
-        self.mode = mode;
-    }
-
-    /// The extractor implementation in use.
-    pub fn extractor_mode(&self) -> ExtractorMode {
-        self.extractor
-    }
-
-    /// Switches the extractor implementation.
-    pub fn set_extractor_mode(&mut self, mode: ExtractorMode) {
-        self.extractor = mode;
     }
 
     /// Replaces the DNA memo handle (the pool installs one shared memo
@@ -170,19 +114,12 @@ impl Guard {
         self.extract_context = context;
     }
 
-    /// Replaces the index tuning knobs (cache bound, shard opt-in).
-    pub fn set_index_config(&mut self, config: IndexConfig) {
-        self.index.borrow_mut().set_config(config);
-    }
-
-    /// Cumulative indexed-comparator counters (all zero while the guard
-    /// runs in [`ComparatorMode::Reference`]).
+    /// Cumulative indexed-comparator counters.
     pub fn comparator_stats(&self) -> IndexStats {
         self.index.borrow().stats()
     }
 
-    /// Cumulative incremental-extractor counters (all zero while the
-    /// guard runs in [`ExtractorMode::Reference`]).
+    /// Cumulative incremental-extractor counters.
     pub fn extractor_stats(&self) -> IncrementalStats {
         self.incremental.borrow().stats()
     }
@@ -225,97 +162,78 @@ impl Guard {
     }
 
     /// Analyses one compilation trace against every VDC entry (step 2 of
-    /// the paper's workflow; Algorithm 2 inside). Extraction runs in the
-    /// implementation selected by [`Guard::extractor_mode`]; comparison
-    /// in the one selected by [`Guard::comparator_mode`]. Every
-    /// combination returns identical `dangerous` / `matches` / `dna`
-    /// (only `cost_cycles` differs, reflecting the work each actually
-    /// does).
+    /// the paper's workflow; Algorithm 2 inside): the DNA memo in front
+    /// of the incremental extractor, then the indexed comparator. Returns
+    /// the same `dangerous` / `matches` / `dna` as the normative
+    /// [`Guard::analyze_reference`]; only `cost_cycles` differs,
+    /// reflecting the work each actually does.
     pub fn analyze(&self, trace: &PassTrace, n_slots: usize) -> Analysis {
         self.analyze_with_receipts(trace, n_slots).0
     }
 
-    /// Extraction dispatch: the configured extractor produces the DNA
-    /// and the simulated cycles it cost; the incremental path
-    /// additionally consults the shared memo and returns a receipt.
-    fn extract_with_receipt(
-        &self,
-        trace: &PassTrace,
-        n_slots: usize,
-    ) -> (Dna, u64, Option<ExtractReceipt>) {
-        match self.extractor {
-            ExtractorMode::Reference => (
-                extract_dna(trace, n_slots),
-                trace_work(trace) * EXTRACT_COST_PER_INSTR,
-                None,
-            ),
-            ExtractorMode::Incremental => {
-                if let Some(FaultKind::CachePoison) = self.faults.fire(FaultSite::ExtractQuery) {
-                    // The torn write lands before the lookup — the
-                    // memo's purge-before-serve guarantee is the
-                    // recovery path under test.
-                    self.memo.poison();
-                }
-                let key = MemoKey::from_trace(trace, n_slots, self.extract_context);
-                let mut cost = 0u64;
-                if let Some(k) = &key {
-                    cost += k.pre_mir_len() as u64 * MEMO_KEY_COST_PER_INSTR;
-                    if let Some(dna) = self.memo.lookup(k) {
-                        cost += MEMO_HIT_COST;
-                        let receipt = ExtractReceipt {
-                            memo_hit: true,
-                            cost_cycles: cost,
-                            ..ExtractReceipt::default()
-                        };
-                        return (dna, cost, Some(receipt));
-                    }
-                }
-                let (dna, mut receipt) = self.incremental.borrow_mut().extract_dna(trace, n_slots);
-                receipt.cost_cycles += cost;
-                if let Some(k) = key {
-                    self.memo.insert(k, dna.clone());
-                }
-                (dna, receipt.cost_cycles, Some(receipt))
+    /// Extraction: the shared memo answers a repeat compilation; a miss
+    /// runs the incremental extractor and fills the memo. The receipt's
+    /// `cost_cycles` is the extraction's whole charge.
+    fn extract_memoized(&self, trace: &PassTrace, n_slots: usize) -> (Dna, ExtractReceipt) {
+        if let Some(FaultKind::CachePoison) = self.faults.fire(FaultSite::ExtractQuery) {
+            // The torn write lands before the lookup — the memo's
+            // purge-before-serve guarantee is the recovery path under
+            // test.
+            self.memo.poison();
+        }
+        let key = MemoKey::from_trace(trace, n_slots, self.extract_context);
+        let mut cost = 0u64;
+        if let Some(k) = &key {
+            cost += k.pre_mir_len() as u64 * MEMO_KEY_COST_PER_INSTR;
+            if let Some(dna) = self.memo.lookup(k) {
+                cost += MEMO_HIT_COST;
+                let receipt = ExtractReceipt {
+                    memo_hit: true,
+                    cost_cycles: cost,
+                    ..ExtractReceipt::default()
+                };
+                return (dna, receipt);
             }
         }
+        let (dna, mut receipt) = self.incremental.borrow_mut().extract_dna(trace, n_slots);
+        receipt.cost_cycles += cost;
+        if let Some(k) = key {
+            self.memo.insert(k, dna.clone());
+        }
+        (dna, receipt)
     }
 
     fn analyze_with_receipts(
         &self,
         trace: &PassTrace,
         n_slots: usize,
-    ) -> (Analysis, Option<ExtractReceipt>, Option<QueryReceipt>) {
-        let (dna, extract_cost, extract_receipt) = self.extract_with_receipt(trace, n_slots);
-        match self.mode {
-            ComparatorMode::Reference => (
-                self.compare_reference(dna, extract_cost),
-                extract_receipt,
-                None,
-            ),
-            ComparatorMode::Indexed => {
-                let (analysis, receipt) = self.compare_indexed(dna, extract_cost);
-                (analysis, extract_receipt, Some(receipt))
-            }
-        }
+    ) -> (Analysis, ExtractReceipt, QueryReceipt) {
+        let (dna, extract_receipt) = self.extract_memoized(trace, n_slots);
+        let (analysis, receipt) = self.compare_indexed(dna, extract_receipt.cost_cycles);
+        (analysis, extract_receipt, receipt)
     }
 
-    /// The naive Algorithm 2 loop over a pre-extracted DNA: full set
-    /// intersections per (entry, slot), costed by sub-chain volume. This
-    /// is the normative comparator — the indexed path must agree with it
-    /// on every verdict.
-    fn compare_reference(&self, dna: Dna, extract_cost: u64) -> Analysis {
-        let mut cost = extract_cost;
+    /// The normative oracle for one trace: Algorithm 1
+    /// ([`extract_dna`]) and the naive Algorithm 2 loop
+    /// ([`crate::compare::reference`]) over every entry, with full set
+    /// intersections per (entry, slot). Extraction is costed by the
+    /// instructions it walks, comparison by the sub-chain volume on both
+    /// sides. It touches no memo, index, extractor or counter, so
+    /// calling it never perturbs [`Guard::analyze`]; tests and reports
+    /// check every production round against it.
+    pub fn analyze_reference(&self, trace: &PassTrace, n_slots: usize) -> Analysis {
+        let dna = extract_dna(trace, n_slots);
+        let extract_cycles = trace_work(trace) * EXTRACT_COST_PER_INSTR;
+        let f_chains: usize = dna
+            .deltas
+            .iter()
+            .map(|d| d.removed.len() + d.added.len())
+            .sum();
+        let mut cost = extract_cycles;
         let mut dangerous: Vec<usize> = Vec::new();
         let mut matches = Vec::new();
         for entry in self.db.entries() {
             let slots = crate::compare::reference(&dna, &entry.dna, &self.config);
-            // Comparison cost: proportional to the sub-chain volume on both
-            // sides.
-            let f_chains: usize = dna
-                .deltas
-                .iter()
-                .map(|d| d.removed.len() + d.added.len())
-                .sum();
             let v_chains: usize = entry
                 .dna
                 .deltas
@@ -334,23 +252,16 @@ impl Guard {
             dangerous,
             matches,
             cost_cycles: cost,
+            extract_cycles,
             dna,
         }
-    }
-
-    /// Reference-comparator analysis of one trace (kept as the public
-    /// normative entry point; extraction still follows
-    /// [`Guard::extractor_mode`]).
-    pub fn analyze_reference(&self, trace: &PassTrace, n_slots: usize) -> Analysis {
-        let (dna, extract_cost, _) = self.extract_with_receipt(trace, n_slots);
-        self.compare_reference(dna, extract_cost)
     }
 
     /// The indexed pipeline: ensure the index matches the database
     /// generation, query it (cache → prefilter → interned merges), and
     /// rebuild the entry-keyed result into the reference shape.
-    fn compare_indexed(&self, dna: Dna, extract_cost: u64) -> (Analysis, QueryReceipt) {
-        let mut cost = extract_cost;
+    fn compare_indexed(&self, dna: Dna, extract_cycles: u64) -> (Analysis, QueryReceipt) {
+        let mut cost = extract_cycles;
         let mut index = self.index.borrow_mut();
         if let Some(FaultKind::CachePoison) = self.faults.fire(FaultSite::ComparatorQuery) {
             // The torn write lands before `ensure` — recovery is the
@@ -375,6 +286,7 @@ impl Guard {
                 dangerous,
                 matches,
                 cost_cycles: cost,
+                extract_cycles,
                 dna,
             },
             receipt,
@@ -382,10 +294,10 @@ impl Guard {
     }
 
     /// Like [`Guard::analyze`], additionally reporting the analysis as an
-    /// [`Event::GuardAnalyzed`] (preceded, on the incremental path, by an
-    /// [`Event::ExtractorQuery`] describing the memo/fast-path work and,
-    /// on the indexed path, by an [`Event::ComparatorQuery`] describing
-    /// the cache/prefilter/shard work) to `collector`.
+    /// [`Event::GuardAnalyzed`] to `collector`, preceded by an
+    /// [`Event::ExtractorQuery`] describing the memo/fast-path work and
+    /// an [`Event::ComparatorQuery`] describing the cache/prefilter
+    /// work.
     pub fn analyze_observed(
         &self,
         trace: &PassTrace,
@@ -407,25 +319,20 @@ impl Guard {
                 purges: memo_stats_after.poison_purges,
             });
         }
-        if let Some(r) = extract_receipt {
-            collector.record(Event::ExtractorQuery {
-                function: trace.function.clone(),
-                memo_hit: r.memo_hit,
-                passes_enumerated: r.passes_enumerated,
-                passes_skipped: r.passes_skipped,
-                chains_enumerated: r.chains_enumerated,
-                chains_skipped: r.chains_skipped,
-            });
-        }
-        if let Some(r) = receipt {
-            collector.record(Event::ComparatorQuery {
-                function: trace.function.clone(),
-                cache_hit: r.cache_hit,
-                prefilter_rejects: r.prefilter_rejects,
-                set_merges: r.set_merges,
-                shards: r.shards,
-            });
-        }
+        collector.record(Event::ExtractorQuery {
+            function: trace.function.clone(),
+            memo_hit: extract_receipt.memo_hit,
+            passes_enumerated: extract_receipt.passes_enumerated,
+            passes_skipped: extract_receipt.passes_skipped,
+            chains_enumerated: extract_receipt.chains_enumerated,
+            chains_skipped: extract_receipt.chains_skipped,
+        });
+        collector.record(Event::ComparatorQuery {
+            function: trace.function.clone(),
+            cache_hit: receipt.cache_hit,
+            prefilter_rejects: receipt.prefilter_rejects,
+            set_merges: receipt.set_merges,
+        });
         collector.record(Event::GuardAnalyzed {
             function: trace.function.clone(),
             matches: analysis.matches.len() as u64,
@@ -587,27 +494,34 @@ mod tests {
     }
 
     #[test]
-    fn comparator_modes_agree_on_everything_but_cost() {
+    fn analyze_agrees_with_the_oracle_on_everything_but_cost() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
         db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
         db.install("CVE-B", "g", Guard::extract(&trace_removing_check(11), 32));
-        let indexed = Guard::with_comparator(db.clone(), cfg, ComparatorMode::Indexed);
-        let reference = Guard::with_comparator(db, cfg, ComparatorMode::Reference);
+        let guard = Guard::new(db, cfg);
         for trace in [
             trace_removing_check(6),
             trace_removing_check(11),
             trace_removing_check(3),
         ] {
-            let a = indexed.analyze(&trace, 32);
-            let b = reference.analyze(&trace, 32);
-            assert_eq!(a.dangerous, b.dangerous);
-            assert_eq!(a.matches, b.matches);
-            assert_eq!(a.dna, b.dna);
+            let oracle = guard.analyze_reference(&trace, 32);
+            let a = guard.analyze(&trace, 32);
+            assert_eq!(a.dangerous, oracle.dangerous);
+            assert_eq!(a.matches, oracle.matches);
+            assert_eq!(a.dna, oracle.dna, "the extractors must emit identical DNA");
+            assert!(a.extract_cycles > 0 && a.extract_cycles < a.cost_cycles);
+            assert_eq!(
+                oracle.extract_cycles,
+                trace_work(&trace) * EXTRACT_COST_PER_INSTR
+            );
         }
-        let stats = indexed.comparator_stats();
-        assert_eq!(stats.queries, 3);
-        assert_eq!(reference.comparator_stats().queries, 0);
+        assert_eq!(guard.comparator_stats().queries, 3);
+        assert_eq!(
+            guard.memo_stats().lookups,
+            3,
+            "the oracle must bypass the memo entirely"
+        );
     }
 
     #[test]
@@ -654,35 +568,6 @@ mod tests {
         // The fault window is over: the next query is clean again.
         assert_eq!(guard.analyze(&trace, 32).dangerous, vec![6]);
         assert_eq!(guard.comparator_stats().poison_purges, 1);
-    }
-
-    #[test]
-    fn extractor_modes_agree_on_everything_but_cost() {
-        let cfg = CompareConfig { thr: 1, ratio: 0.5 };
-        let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
-        db.install("CVE-B", "g", Guard::extract(&trace_removing_check(11), 32));
-        let mut incremental = Guard::new(db.clone(), cfg);
-        incremental.set_extractor_mode(ExtractorMode::Incremental);
-        let mut reference = Guard::new(db, cfg);
-        reference.set_extractor_mode(ExtractorMode::Reference);
-        for trace in [
-            trace_removing_check(6),
-            trace_removing_check(11),
-            trace_removing_check(3),
-        ] {
-            let a = incremental.analyze(&trace, 32);
-            let b = reference.analyze(&trace, 32);
-            assert_eq!(a.dangerous, b.dangerous);
-            assert_eq!(a.matches, b.matches);
-            assert_eq!(a.dna, b.dna, "extractor modes must emit identical DNA");
-        }
-        assert_eq!(incremental.memo_stats().lookups, 3);
-        assert_eq!(
-            reference.memo_stats().lookups,
-            0,
-            "the reference extractor must bypass the memo entirely"
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The indexed Δ comparator: interner, fingerprint prefilter, query
-//! cache, and sharded parallel scan.
+//! The indexed Δ comparator: interner, fingerprint prefilter, and query
+//! cache.
 //!
 //! [`crate::compare::reference`] (the naive Algorithm 2 loop) recomputes
 //! full `BTreeSet<Chain>` intersections for every (function, VDC, slot)
@@ -24,18 +24,10 @@
 //!    collision degrades to a miss, never to a wrong verdict). The cache
 //!    is invalidated wholesale whenever the database's generation counter
 //!    moves (see [`DnaDatabase::generation`]).
-//! 4. **Sharded scan**: an opt-in `std::thread::scope` fan-out that
-//!    splits database entries across worker threads once the scan's
-//!    `entries × slots` work estimate exceeds
-//!    [`IndexConfig::parallel_threshold`]. Only the interned (`u32`/`u64`)
-//!    representation crosses the shard boundary — the interner itself
-//!    stays on the query thread, so shards race over plain integers.
 //!
 //! The simulated-cycle cost model mirrors the work actually done (hash,
 //! intern, prefilter, merge), so `repro` figures built on
 //! [`QueryReceipt::cost_cycles`] show the same shape a wall clock does.
-//! Sharding divides wall-clock latency, not simulated cycles: the
-//! receipt charges total work, wherever it ran.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -210,18 +202,6 @@ pub struct IndexedEntry {
 /// Tuning knobs for the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexConfig {
-    /// Scan-work estimate (`entries × query slots`) above which the scan
-    /// shards across threads. The default (`usize::MAX`) keeps the scan
-    /// sequential — sharding is opt-in because spawning threads per
-    /// query only pays off for databases far larger than the paper's
-    /// one-or-two-window steady state.
-    pub parallel_threshold: usize,
-    /// Worker threads for a sharded scan (clamped to the entry count).
-    /// Deliberately *not* clamped to the host's core count: sharding is
-    /// already opt-in via `parallel_threshold`, and a deterministic shard
-    /// count keeps scan behaviour reproducible across machines. Callers
-    /// that care should set this to their core count.
-    pub max_shards: usize,
     /// Distinct query DNAs cached before the cache is reset wholesale.
     /// `0` disables caching entirely.
     pub max_cache_entries: usize,
@@ -230,8 +210,6 @@ pub struct IndexConfig {
 impl Default for IndexConfig {
     fn default() -> Self {
         IndexConfig {
-            parallel_threshold: usize::MAX,
-            max_shards: 8,
             max_cache_entries: 4096,
         }
     }
@@ -247,8 +225,6 @@ pub struct QueryReceipt {
     pub prefilter_rejects: u64,
     /// Linear-merge intersections actually performed.
     pub set_merges: u64,
-    /// Worker threads used (`0` = sequential scan).
-    pub shards: u64,
     /// Simulated cycles the query consumed.
     pub cost_cycles: u64,
 }
@@ -264,8 +240,6 @@ pub struct IndexStats {
     pub prefilter_rejects: u64,
     /// Merges performed.
     pub set_merges: u64,
-    /// Queries that ran sharded.
-    pub sharded_scans: u64,
     /// Index rebuilds (database generation changes observed).
     pub rebuilds: u64,
     /// Rebuilds that additionally discarded a poisoned verdict cache
@@ -383,14 +357,6 @@ impl ComparatorIndex {
         self.config
     }
 
-    /// Replaces the tuning knobs (drops the cache: cached verdicts are
-    /// still valid, but this keeps reconfiguration semantics trivial).
-    pub fn set_config(&mut self, config: IndexConfig) {
-        self.config = config;
-        self.cache.clear();
-        self.cached = 0;
-    }
-
     /// Corrupts the index in place, modelling a torn write over the
     /// comparator's memoised state: every cached verdict is overwritten
     /// with garbage and the generation stamp is zeroed. Because real
@@ -489,15 +455,7 @@ impl ComparatorIndex {
             .iter()
             .map(|d| IndexedDelta::from_delta(d, &mut self.interner))
             .collect();
-        let work = self.entries.len().saturating_mul(query.len());
-        let shards = self.shard_count(work);
-        let (matches, counters) = if shards > 1 {
-            self.stats.sharded_scans += 1;
-            receipt.shards = shards as u64;
-            scan_parallel(&self.entries, &query, config, shards)
-        } else {
-            scan_sequential(&self.entries, &query, config)
-        };
+        let (matches, counters) = scan(&self.entries, &query, config);
         receipt.prefilter_rejects = counters.prefilter_rejects;
         receipt.set_merges = counters.set_merges;
         receipt.cost_cycles += counters.cost;
@@ -518,16 +476,9 @@ impl ComparatorIndex {
         }
         (result, receipt)
     }
-
-    fn shard_count(&self, work: usize) -> usize {
-        if work < self.config.parallel_threshold || self.entries.len() < 2 {
-            return 1;
-        }
-        self.config.max_shards.min(self.entries.len()).max(1)
-    }
 }
 
-fn scan_sequential(
+fn scan(
     entries: &[IndexedEntry],
     query: &[IndexedDelta],
     config: &CompareConfig,
@@ -539,53 +490,6 @@ fn scan_sequential(
         if !slots.is_empty() {
             matches.push((idx, slots));
         }
-    }
-    (matches, counters)
-}
-
-/// Splits `entries` into `shards` contiguous ranges and scans them on
-/// scoped worker threads. Only interned data crosses the thread
-/// boundary; results come back in entry order, so the output is
-/// byte-identical to [`scan_sequential`].
-fn scan_parallel(
-    entries: &[IndexedEntry],
-    query: &[IndexedDelta],
-    config: &CompareConfig,
-    shards: usize,
-) -> (EntryMatches, ScanCounters) {
-    let chunk = entries.len().div_ceil(shards);
-    let per_shard: Vec<(EntryMatches, ScanCounters)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = entries
-            .chunks(chunk)
-            .enumerate()
-            .map(|(shard, slice)| {
-                let base = shard * chunk;
-                scope.spawn(move || {
-                    let mut counters = ScanCounters::default();
-                    let mut matches = EntryMatches::new();
-                    for (off, entry) in slice.iter().enumerate() {
-                        let slots =
-                            dangerous_slots_indexed(query, &entry.slots, config, &mut counters);
-                        if !slots.is_empty() {
-                            matches.push((base + off, slots));
-                        }
-                    }
-                    (matches, counters)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("comparator shard panicked"))
-            .collect()
-    });
-    let mut matches = EntryMatches::new();
-    let mut counters = ScanCounters::default();
-    for (m, c) in per_shard {
-        matches.extend(m);
-        counters.prefilter_rejects += c.prefilter_rejects;
-        counters.set_merges += c.set_merges;
-        counters.cost += c.cost;
     }
     (matches, counters)
 }
@@ -694,43 +598,6 @@ mod tests {
         let (after, r3) = index.query(&vdc, &cfg);
         assert!(!r3.cache_hit);
         assert!(after.is_empty());
-    }
-
-    #[test]
-    fn parallel_scan_agrees_with_sequential() {
-        let cfg = CompareConfig { thr: 1, ratio: 0.5 };
-        let mut db = DnaDatabase::new();
-        for i in 0..16 {
-            let slot = i % 8;
-            let label = format!("op{i}");
-            let mut dna = Dna::with_slots(8);
-            dna.deltas[slot].removed = set(&[
-                &[label.as_str(), "x"],
-                &["boundscheck", "initializedlength"],
-            ]);
-            db.install(format!("CVE-{i}"), "f", dna);
-        }
-        let query = dna_with(
-            2,
-            &[&["boundscheck", "initializedlength"], &["op2", "x"]],
-            &[],
-        );
-        let mut seq = ComparatorIndex::new(IndexConfig {
-            max_cache_entries: 0,
-            ..IndexConfig::default()
-        });
-        seq.ensure(&db);
-        let (expected, _) = seq.query(&query, &cfg);
-        let mut par = ComparatorIndex::new(IndexConfig {
-            parallel_threshold: 0,
-            max_shards: 4,
-            max_cache_entries: 0,
-        });
-        par.ensure(&db);
-        let (got, receipt) = par.query(&query, &cfg);
-        assert_eq!(expected, got);
-        assert!(receipt.shards >= 2, "{receipt:?}");
-        assert_eq!(par.stats().sharded_scans, 1);
     }
 
     #[test]

@@ -61,6 +61,6 @@ pub use error::DbError;
 pub use extract::incremental::{ExtractReceipt, IncrementalExtractor, IncrementalStats};
 pub use extract::memo::{DnaMemo, MemoKey, MemoStats};
 pub use extract::{extract_delta, extract_dna};
-pub use guard::{Analysis, ComparatorMode, DbMut, ExtractorMode, Guard};
+pub use guard::{Analysis, DbMut, Guard};
 pub use index::{ChainInterner, ComparatorIndex, IndexConfig, IndexStats, QueryReceipt};
-pub use policy::{decide, decide_observed, Decision};
+pub use policy::{decide, Decision};

@@ -1,6 +1,6 @@
 //! The go / no-go policy (paper §V, scenarios 1–3).
 
-use jitbull_telemetry::{Collector, Event, Verdict};
+use jitbull_telemetry::Verdict;
 
 /// JITBULL's verdict for one compilation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +28,15 @@ impl Decision {
             Decision::Recompile(p) | Decision::NoJit(p) => p,
         }
     }
+
+    /// The telemetry verdict this decision reports as.
+    pub fn verdict(&self) -> Verdict {
+        match self {
+            Decision::Go => Verdict::Go,
+            Decision::Recompile(_) => Verdict::Recompile,
+            Decision::NoJit(_) => Verdict::NoJit,
+        }
+    }
 }
 
 /// Applies the paper's three-scenario policy to a dangerous-pass list.
@@ -43,28 +52,6 @@ pub fn decide(dangerous: Vec<usize>, disableable: impl Fn(usize) -> bool) -> Dec
     }
 }
 
-/// Like [`decide`], additionally reporting the verdict for `function` as
-/// an [`Event::PolicyDecision`] to `collector`.
-pub fn decide_observed(
-    dangerous: Vec<usize>,
-    disableable: impl Fn(usize) -> bool,
-    function: &str,
-    collector: &mut dyn Collector,
-) -> Decision {
-    let decision = decide(dangerous, disableable);
-    let verdict = match &decision {
-        Decision::Go => Verdict::Go,
-        Decision::Recompile(_) => Verdict::Recompile,
-        Decision::NoJit(_) => Verdict::NoJit,
-    };
-    collector.record(Event::PolicyDecision {
-        function: function.to_owned(),
-        verdict,
-        slots: decision.dangerous_passes().to_vec(),
-    });
-    decision
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +60,7 @@ mod tests {
     fn empty_list_is_go() {
         let d = decide(vec![], |_| true);
         assert_eq!(d, Decision::Go);
+        assert_eq!(d.verdict(), Verdict::Go);
         assert!(d.is_go());
         assert!(d.dangerous_passes().is_empty());
     }
@@ -81,6 +69,7 @@ mod tests {
     fn all_disableable_recompiles() {
         let d = decide(vec![3, 7], |_| true);
         assert_eq!(d, Decision::Recompile(vec![3, 7]));
+        assert_eq!(d.verdict(), Verdict::Recompile);
         assert_eq!(d.dangerous_passes(), &[3, 7]);
     }
 
@@ -88,6 +77,7 @@ mod tests {
     fn any_mandatory_forces_nojit() {
         let d = decide(vec![0, 7], |slot| slot != 0);
         assert_eq!(d, Decision::NoJit(vec![0, 7]));
+        assert_eq!(d.verdict(), Verdict::NoJit);
         assert!(!d.is_go());
     }
 }

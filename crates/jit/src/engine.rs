@@ -18,7 +18,7 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-use jitbull::{decide, decide_observed, ComparatorMode, Decision, DnaMemo, ExtractorMode, Guard};
+use jitbull::{decide, Decision, DnaMemo, Guard};
 use jitbull_chaos::{FaultInjector, Quarantine};
 use jitbull_frontend::parse_program;
 use jitbull_lir::IonCode;
@@ -58,12 +58,6 @@ pub struct EngineConfig {
     /// Pipeline slots to skip unconditionally (debugging / ablations —
     /// e.g. "run everything without GVN"). Mandatory slots still run.
     pub disabled_slots: std::collections::HashSet<usize>,
-    /// Which Δ-comparator implementation the guard uses (indexed by
-    /// default; `Reference` runs the naive normative Algorithm 2 loop).
-    pub comparator: ComparatorMode,
-    /// Which Δ-extractor implementation the guard uses (incremental by
-    /// default; `Reference` runs the naive normative Algorithm 1 walk).
-    pub extractor: ExtractorMode,
     /// DNA memo cache handed to the guard. Cloning the config clones the
     /// handle, not the store, so a pool can share one memo across every
     /// worker's engine.
@@ -93,8 +87,6 @@ impl Default for EngineConfig {
             whole_jit_policy: false,
             fuel: 500_000_000,
             disabled_slots: std::collections::HashSet::new(),
-            comparator: ComparatorMode::default(),
-            extractor: ExtractorMode::default(),
             memo: DnaMemo::default(),
             faults: FaultInjector::disabled(),
             watchdog_budget: None,
@@ -206,15 +198,11 @@ impl Engine {
         }
     }
 
-    /// Creates an engine protected by a JITBULL guard. The guard is
-    /// switched to the comparator selected by
-    /// [`EngineConfig::comparator`] and the extractor selected by
-    /// [`EngineConfig::extractor`] (keyed by the vulnerability-set
-    /// fingerprint, backed by [`EngineConfig::memo`]), so the config
-    /// knobs are authoritative.
+    /// Creates an engine protected by a JITBULL guard. The guard's
+    /// extractor is backed by [`EngineConfig::memo`] and keyed by the
+    /// vulnerability-set fingerprint, and it consults
+    /// [`EngineConfig::faults`], so the config is authoritative.
     pub fn with_guard(config: EngineConfig, mut guard: Guard) -> Self {
-        guard.set_comparator_mode(config.comparator);
-        guard.set_extractor_mode(config.extractor);
         guard.set_dna_memo(config.memo.clone());
         guard.set_extract_context(config.vulns.fingerprint());
         guard.set_fault_injector(config.faults.clone());
@@ -510,15 +498,12 @@ impl Engine {
                 .filter(|s| !disabled.contains(s))
                 .collect();
             let user_disabled: Vec<usize> = self.config.disabled_slots.iter().copied().collect();
-            let decision = match &self.collector {
-                Some(c) => decide_observed(
-                    fresh,
-                    slot_disableable,
-                    &module.function(func).name,
-                    &mut *c.borrow_mut(),
-                ),
-                None => decide(fresh, slot_disableable),
-            };
+            let decision = decide(fresh, slot_disableable);
+            self.emit(|| Event::PolicyDecision {
+                function: name.clone(),
+                verdict: decision.verdict(),
+                slots: decision.dangerous_passes().to_vec(),
+            });
             match decision {
                 Decision::Go => {
                     let jitbull_slots: Vec<usize> = {

@@ -9,7 +9,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use jitbull::{CompareConfig, DnaDatabase, DnaMemo, ExtractorMode, Guard};
+use jitbull::{CompareConfig, DnaDatabase, DnaMemo, Guard};
 use jitbull_chaos::{CircuitBreaker, FaultInjector, FaultKind, FaultSite, Quarantine};
 use jitbull_jit::engine::Engine;
 use jitbull_telemetry::{Collector, Event};
@@ -27,7 +27,6 @@ pub(crate) struct WorkerCtx {
     pub(crate) stats: Arc<StatsInner>,
     pub(crate) collector: Option<SharedCollector>,
     pub(crate) compare: CompareConfig,
-    pub(crate) extractor: ExtractorMode,
     pub(crate) memo: DnaMemo,
     pub(crate) faults: FaultInjector,
     pub(crate) breaker: CircuitBreaker,
@@ -142,11 +141,10 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
     // quarantine strikes accumulate across requests and worker respawns.
     config.faults = ctx.faults.clone();
     config.quarantine = ctx.quarantine.clone();
-    // The pool's extractor knob and shared DNA memo are authoritative:
-    // every worker memoizes into (and hits from) the same store, and the
-    // memo outlives snapshot swaps because extraction never reads the
-    // VDC database.
-    config.extractor = ctx.extractor;
+    // The pool's shared DNA memo is authoritative: every worker
+    // memoizes into (and hits from) the same store, and the memo
+    // outlives snapshot swaps because extraction never reads the VDC
+    // database.
     config.memo = ctx.memo.clone();
 
     // Circuit breaker: an open breaker degrades the run engine-wide; a
@@ -166,7 +164,7 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
     let guard = state
         .guard
         .take()
-        .unwrap_or_else(|| Guard::with_comparator((*db).clone(), ctx.compare, config.comparator));
+        .unwrap_or_else(|| Guard::new((*db).clone(), ctx.compare));
     let mut engine = Engine::with_guard(config, guard);
     if let Some(shared) = &ctx.collector {
         engine.set_collector(Rc::new(RefCell::new(Forward(Arc::clone(shared)))));

@@ -79,7 +79,7 @@ pub enum Event {
         cycles: u64,
     },
     /// The indexed comparator served one guard query (emitted before the
-    /// matching [`Event::GuardAnalyzed`]; absent on the reference path).
+    /// matching [`Event::GuardAnalyzed`]).
     ComparatorQuery {
         /// Function whose DNA was queried.
         function: String,
@@ -90,12 +90,9 @@ pub enum Event {
         prefilter_rejects: u64,
         /// Full interned-id set merges actually performed.
         set_merges: u64,
-        /// Scan shards used (1 = sequential).
-        shards: u64,
     },
     /// The incremental extractor served one guard extraction (emitted
-    /// before the matching [`Event::GuardAnalyzed`]; absent on the
-    /// reference path).
+    /// before the matching [`Event::GuardAnalyzed`]).
     ExtractorQuery {
         /// Function whose trace was extracted.
         function: String,

@@ -109,7 +109,7 @@ fn run_inner(
 ) -> Result<Measurement, VmError> {
     let mut engine = match db {
         Some(db) => {
-            let guard = Guard::with_comparator(db, CompareConfig::default(), config.comparator);
+            let guard = Guard::new(db, CompareConfig::default());
             Engine::with_guard(config, guard)
         }
         None => Engine::new(config),

@@ -431,36 +431,37 @@ fn full_vdc_catalog_extracts_identically() {
     }
 }
 
-/// Engine level: the whole workload serving mix, run end-to-end under
-/// each `ExtractorMode` against a full VDC database, must print the same
-/// output and reach the same tier/verdict counts.
+/// Engine level: the whole workload serving mix, run end-to-end against
+/// a full VDC database, extracts exactly the reference DNA in every Ion
+/// round the guard analysed and reaches the same verdicts (checked round
+/// by round by the replay), so a reference-extractor engine takes the
+/// identical path to the same output and tier counts; the reference
+/// extractor also costs more.
 #[test]
 fn engine_runs_agree_across_extractor_modes() {
-    use jitbull::ExtractorMode;
-    use jitbull_jit::engine::{Engine, EngineConfig};
+    use jitbull_bench::corpus::replay;
+    use jitbull_jit::engine::EngineConfig;
     use jitbull_jit::{CveId, VulnConfig};
 
     let db = jitbull_vdc::build_database(&jitbull_vdc::all_vdcs()).unwrap();
     for w in jitbull_workloads::serving_mix() {
-        let mut runs = Vec::new();
-        for mode in [ExtractorMode::Reference, ExtractorMode::Incremental] {
-            let config = EngineConfig {
-                vulns: VulnConfig::with([CveId::Cve2019_17026]),
-                extractor: mode,
-                ..EngineConfig::fast_test()
-            };
-            let guard =
-                jitbull::Guard::new(db.clone(), jitbull::CompareConfig { thr: 1, ratio: 0.5 });
-            let mut engine = Engine::with_guard(config, guard);
-            runs.push(engine.run_source_with(&w.source).unwrap());
-        }
-        let (a, b) = (&runs[0], &runs[1]);
-        assert_eq!(a.outcome.printed, b.outcome.printed, "{}", w.name);
-        assert_eq!(a.nr_jit, b.nr_jit, "{}", w.name);
-        assert_eq!(a.nr_disjit, b.nr_disjit, "{}", w.name);
-        assert_eq!(a.nr_nojit, b.nr_nojit, "{}", w.name);
-        for (sa, sb) in a.stats.iter().zip(&b.stats) {
-            assert_eq!(sa.matched, sb.matched, "{}", w.name);
-        }
+        let config = EngineConfig {
+            vulns: VulnConfig::with([CveId::Cve2019_17026]),
+            ..EngineConfig::fast_test()
+        };
+        let r = replay(
+            &w.source,
+            config,
+            &db,
+            jitbull::CompareConfig { thr: 1, ratio: 0.5 },
+        );
+        let out = r.outcome.as_ref().unwrap();
+        assert!(!out.outcome.printed.is_empty(), "{}", w.name);
+        assert!(!r.rounds.is_empty(), "{}: no round analysed", w.name);
+        assert!(
+            r.reference_extractor_cycles() > r.production_cycles(),
+            "{}",
+            w.name
+        );
     }
 }

@@ -56,7 +56,7 @@ fn source_rounds(
     let mut out = Vec::new();
     for name in functions {
         let func = module.function_id(name).expect("function exists");
-        for trace in ion_rounds(&module, func, vulns, guard) {
+        for (trace, _) in ion_rounds(&module, func, vulns, guard) {
             out.push((format!("{tag}/{name}"), trace));
         }
     }

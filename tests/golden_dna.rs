@@ -5,8 +5,7 @@
 //! fails these tests with a readable line diff.
 //!
 //! Extraction runs through `Guard::extract` — the normative Algorithm 1
-//! reference path — so the corpus *is* the reference oracle's output and
-//! passes unchanged under `ExtractorMode::Reference`; the incremental
+//! oracle — so the corpus *is* the oracle's output; the incremental
 //! extractor is held to the same output by `tests/extract_differential.rs`.
 //!
 //! Regenerate after an intentional change with:

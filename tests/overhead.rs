@@ -1,9 +1,8 @@
 //! Figure-5/6 reproduction bounds: JITBULL's overhead properties.
 
-use jitbull::ComparatorMode;
+use jitbull_bench::corpus::workload_replay;
 use jitbull_bench::figures::{db_with, fig5, fig6, fig6_comparator};
-use jitbull_jit::engine::EngineConfig;
-use jitbull_workloads::{octane_analogues, run_workload};
+use jitbull_workloads::octane_analogues;
 
 #[test]
 fn fig5_overhead_shapes_match_paper() {
@@ -79,37 +78,19 @@ fn db_construction_is_deterministic() {
 }
 
 /// The indexed comparator must beat the naive reference loop once the
-/// database is non-trivial (acceptance: DB >= 8 entries), while producing
-/// the exact same verdicts and program output.
+/// database is non-trivial (acceptance: DB >= 8 entries). The replay
+/// checks every round's verdicts and DNA against the oracles, so a
+/// reference-comparator engine would run the same path and program.
 #[test]
 fn indexed_comparator_beats_reference_at_db8() {
     let (db, vulns) = db_with(8);
     for w in &octane_analogues() {
-        let run = |mode: ComparatorMode| {
-            run_workload(
-                w,
-                EngineConfig {
-                    vulns: vulns.clone(),
-                    comparator: mode,
-                    ..Default::default()
-                },
-                Some(db.clone()),
-            )
-            .expect("workload runs")
-        };
-        let reference = run(ComparatorMode::Reference);
-        let indexed = run(ComparatorMode::Indexed);
-        // Same verdict mix and same execution, cheaper analysis.
-        assert_eq!(reference.nr_jit, indexed.nr_jit, "{}", w.name);
-        assert_eq!(reference.nr_disjit, indexed.nr_disjit, "{}", w.name);
-        assert_eq!(reference.nr_nojit, indexed.nr_nojit, "{}", w.name);
-        assert_eq!(reference.ops, indexed.ops, "{}", w.name);
+        let r = workload_replay(w, &db, &vulns);
+        let (reference, indexed) = (r.reference_comparator_cycles(), r.production_cycles());
         assert!(
-            indexed.analysis_cycles < reference.analysis_cycles,
-            "{}: indexed {} >= reference {} analysis cycles",
+            indexed < reference,
+            "{}: indexed {indexed} >= reference {reference} analysis cycles",
             w.name,
-            indexed.analysis_cycles,
-            reference.analysis_cycles
         );
     }
 }
