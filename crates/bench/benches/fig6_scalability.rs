@@ -46,7 +46,6 @@ fn main() {
     });
     let mut uncached = ComparatorIndex::new(IndexConfig {
         max_cache_entries: 0,
-        ..Default::default()
     });
     uncached.ensure(&db);
     bench("indexed_uncached", 50, 200, || {

@@ -4,10 +4,10 @@
 //! cargo bench -p jitbull-bench --bench pool_throughput
 //! ```
 //!
-//! Headline: simulated-cycle speedup (busy-cycle total / busiest worker)
-//! — deterministic load-balance quality, which bounds wall-clock scaling
-//! on a multi-core host. Wall-clock req/s is secondary (this container
-//! has one CPU).
+//! Headline: simulated-cycle speedup (busy-cycle total / busiest worker
+//! under the pool's FIFO dispatch in simulated time) — load-balance
+//! quality independent of host thread timing, which bounds wall-clock
+//! scaling on a multi-core host. Wall-clock req/s is secondary.
 
 use jitbull_bench::pool_bench;
 

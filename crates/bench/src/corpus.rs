@@ -148,12 +148,18 @@ impl Replay {
 
     /// Analysis cycles of the same run with the naive comparator.
     pub fn reference_comparator_cycles(&self) -> u64 {
-        self.rounds.iter().map(RoundCycles::reference_comparator).sum()
+        self.rounds
+            .iter()
+            .map(RoundCycles::reference_comparator)
+            .sum()
     }
 
     /// Analysis cycles of the same run with the naive extractor.
     pub fn reference_extractor_cycles(&self) -> u64 {
-        self.rounds.iter().map(RoundCycles::reference_extractor).sum()
+        self.rounds
+            .iter()
+            .map(RoundCycles::reference_extractor)
+            .sum()
     }
 }
 
@@ -181,11 +187,11 @@ impl Collector for GuardRounds {
 /// extractor's and the index's costs depend on the order they see
 /// traces in, so only that order reproduces the engine's charges.
 ///
-/// Each round is also analysed by [`Guard::analyze_reference`]. A
-/// reference-mode engine would have taken exactly the production run's
-/// path, because every round's verdict is the same, so the returned
-/// costs price the run under either naive implementation exactly.
-/// `config.memo` must be fresh.
+/// Each round is also analysed by [`Guard::analyze_reference`]. Every
+/// round's verdict is the oracle's, so an engine running either naive
+/// implementation would take exactly the production run's path, and the
+/// returned costs price the run under it exactly. `config.memo` must be
+/// fresh.
 ///
 /// # Panics
 ///
@@ -220,9 +226,15 @@ pub fn replay(
         let func = module.function_id(f).expect("analysed function exists");
         for (trace, production) in ion_rounds(&module, func, &vulns, &guard) {
             let oracle = guard.analyze_reference(&trace, N_SLOTS);
-            assert_eq!(production.dangerous, oracle.dangerous, "{f}: dangerous slots");
+            assert_eq!(
+                production.dangerous, oracle.dangerous,
+                "{f}: dangerous slots"
+            );
             assert_eq!(production.matches, oracle.matches, "{f}: matches");
-            assert!(production.dna == oracle.dna, "{f}: DNA differs from the oracle's");
+            assert!(
+                production.dna == oracle.dna,
+                "{f}: DNA differs from the oracle's"
+            );
             replayed.push((f.to_owned(), production.cost_cycles));
             rounds.push(RoundCycles {
                 production: production.cost_cycles,

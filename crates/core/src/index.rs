@@ -608,7 +608,6 @@ mod tests {
         db.install("CVE-A", "f", vdc.clone());
         let mut index = ComparatorIndex::new(IndexConfig {
             max_cache_entries: 0,
-            ..IndexConfig::default()
         });
         index.ensure(&db);
         let (_, r1) = index.query(&vdc, &cfg);

@@ -28,8 +28,8 @@
 //! * [`policy`] — the go / recompile-without-passes / no-JIT decision
 //!   (§V's three scenarios).
 //! * [`index`] — the fast comparator pipeline (chain interner, Bloom-style
-//!   fingerprint prefilter, DNA-keyed query cache, opt-in sharded scan)
-//!   that must agree with [`compare`] on every verdict.
+//!   fingerprint prefilter, DNA-keyed query cache) that must agree with
+//!   [`compare`] on every verdict.
 //! * [`guard`] — the engine-facing facade gluing the above together, with
 //!   the analysis cycle-cost accounting used by the benchmark harness.
 //!

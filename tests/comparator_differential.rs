@@ -89,7 +89,6 @@ fn index_variants() -> Vec<(&'static str, IndexConfig)> {
             "uncached",
             IndexConfig {
                 max_cache_entries: 0,
-                ..IndexConfig::default()
             },
         ),
     ]
