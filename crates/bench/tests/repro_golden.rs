@@ -1,10 +1,14 @@
-//! Golden `repro` reports: the exact stdout of `repro obs`, `repro
-//! security`, `repro fig4` and `repro fig6`, checked into the workspace's
-//! `tests/golden/`. Each report is a deterministic function of the cycle
-//! model, so every byte is pinned: guard cycles per workload, the
-//! extractor's pass-skip and chain-skip receipts, the `repro obs`
-//! delta-0 line, the 21/21 security table, the Figure 4 rates and the
-//! Figure 6 overheads with their naive-vs-indexed comparator cycles.
+//! Golden `repro` reports: the exact stdout of every deterministic
+//! `repro` experiment, checked into the workspace's `tests/golden/`. Each
+//! report is a pure function of the cycle model and the fault seeds, so
+//! every byte is pinned: guard cycles per workload, the extractor's
+//! pass-skip and chain-skip receipts, the `repro obs` delta-0 line, the
+//! 21/21 security table, the Figure 4 rates, the Figure 6 overheads with
+//! their naive-vs-indexed comparator cycles, Table I and the
+//! vulnerability-window statistics, both ablations, and the chaos
+//! ladder with the `chaos.*`/`recovery.*` counters its recorder saw.
+//! Not pinned: `repro fig5`, `repro fuzz` (minutes per run) and `repro
+//! serve` (its counters depend on host thread timing).
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -99,4 +103,32 @@ fn repro_fig4_matches_golden() {
 #[cfg_attr(debug_assertions, ignore = "release only: ~25 s optimized")]
 fn repro_fig6_matches_golden() {
     check("fig6");
+}
+
+#[test]
+fn repro_table1_matches_golden() {
+    check("table1");
+}
+
+#[test]
+fn repro_window_matches_golden() {
+    check("window");
+}
+
+#[test]
+fn repro_ablation_policy_matches_golden() {
+    check("ablation-policy");
+}
+
+#[test]
+fn repro_chaos_matches_golden() {
+    check("chaos");
+}
+
+/// The threshold sweep runs the suite at 21 comparator settings (~15 s
+/// in release), so like fig6 it runs in release only.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: ~15 s optimized")]
+fn repro_ablation_matches_golden() {
+    check("ablation");
 }
