@@ -127,8 +127,9 @@ fn fuzz() {
     use jitbull::DnaDatabase;
     use jitbull_fuzzer::{install_until_neutralized, minimize, run_campaign};
     use jitbull_jit::VulnConfig;
+    use jitbull_telemetry::NoopCollector;
     let vulns = VulnConfig::all();
-    let report = run_campaign(0, 512, &vulns).expect("campaign runs");
+    let report = run_campaign(0, 512, &vulns, &mut NoopCollector).expect("campaign runs");
     println!(
         "seeds run        : {} ({} finds, {} benign script errors)",
         report.executed,
@@ -143,7 +144,8 @@ fn fuzz() {
         let min = minimize(find, &vulns).expect("campaign finds reproduce");
         shrink_num += min.source.len();
         shrink_den += find.source.len();
-        if install_until_neutralized(&mut db, &min, &vulns, 6).expect("triage") {
+        if install_until_neutralized(&mut db, &min, &vulns, 6, &mut NoopCollector).expect("triage")
+        {
             neutralized += 1;
         }
     }
@@ -258,8 +260,8 @@ fn serve() {
     use jitbull_jit::engine::EngineConfig;
     use jitbull_jit::pipeline::N_SLOTS;
     use jitbull_jit::CveId;
-    use jitbull_pool::{Pool, PoolConfig, Request, SharedCollector};
-    use jitbull_telemetry::Recorder;
+    use jitbull_pool::{Pool, PoolConfig, Request};
+    use jitbull_telemetry::{Recorder, SharedCollector};
     use jitbull_vdc::{build_database, vdc};
 
     // Injected worker panics are part of the demonstration; keep their
@@ -369,12 +371,7 @@ fn serve() {
     println!("  degraded (no-JIT fallback): {}", stats.degraded);
     println!("  worker restarts  : {}", stats.worker_restarts);
     println!("  hot-swaps        : {}", stats.hotswaps);
-    println!(
-        "  busy cycles/worker: {:?} (balance {:.2}x of {} workers)",
-        stats.worker_cycles,
-        stats.cycle_speedup(),
-        stats.worker_cycles.len()
-    );
+    println!("  busy cycles/worker: {:?}", stats.worker_cycles);
     println!(
         "  serving after panics: {}",
         if alive { "yes" } else { "NO" }

@@ -11,8 +11,6 @@
 //! seed: two runs with the same seed must compare equal, which is the
 //! tentpole's determinism acceptance criterion.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -24,8 +22,8 @@ use jitbull_chaos::{
 use jitbull_jit::engine::{Engine, EngineConfig, TierStats};
 use jitbull_jit::pipeline::N_SLOTS;
 use jitbull_jit::CveId;
-use jitbull_pool::{Pool, PoolConfig, PoolError, Request, SharedCollector, Ticket};
-use jitbull_telemetry::{export_text, Collector, Event, Recorder};
+use jitbull_pool::{Pool, PoolConfig, PoolError, Request, Ticket};
+use jitbull_telemetry::{export_text, Recorder, SharedCollector};
 use jitbull_vdc::{build_database, vdc};
 
 use crate::render_table;
@@ -54,24 +52,6 @@ fn hot_src(name: &str) -> String {
          for (var k = 0; k < 30; k++) {{ r = {name}(k, 3); }}
          print(r);"
     )
-}
-
-/// Bridges the pool's thread-safe recorder into the engine's
-/// single-threaded collector slot, so engine-phase recovery events land
-/// in the same ladder-wide recorder as the pool phases'.
-struct Shared(Arc<Mutex<Recorder>>);
-
-impl Collector for Shared {
-    fn record(&mut self, event: Event) {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(event);
-    }
-}
-
-fn engine_collector(rec: &Arc<Mutex<Recorder>>) -> Rc<RefCell<dyn Collector>> {
-    Rc::new(RefCell::new(Shared(Arc::clone(rec))))
 }
 
 fn counter(rec: &Arc<Mutex<Recorder>>, name: &str) -> u64 {
@@ -176,10 +156,10 @@ fn quarantine_rung(seed: u64, rec: &Arc<Mutex<Recorder>>) -> (LadderStep, ChaosT
     let quarantine = Quarantine::default();
     let mut engine = Engine::new(EngineConfig {
         faults: inj.clone(),
+        collector: Some(rec.clone()),
         quarantine: quarantine.clone(),
         ..EngineConfig::fast_test()
     });
-    engine.set_collector(engine_collector(rec));
     let out = engine.run_source_with(HOT).expect("script still serves");
     let pinned = quarantine.is_quarantined("work");
     let correct = out.outcome.printed == vec!["15".to_string()];
@@ -216,10 +196,10 @@ fn watchdog_rung(seed: u64, rec: &Arc<Mutex<Recorder>>) -> (LadderStep, ChaosTal
     ));
     let mut engine = Engine::new(EngineConfig {
         faults: inj.clone(),
+        collector: Some(rec.clone()),
         watchdog_budget: Some(25_000),
         ..EngineConfig::fast_test()
     });
-    engine.set_collector(engine_collector(rec));
     let out = engine.run_source_with(HOT).expect("script still serves");
     let pinned = out
         .stats
@@ -256,9 +236,9 @@ fn ir_corrupt_rung(seed: u64, rec: &Arc<Mutex<Recorder>>) -> (LadderStep, ChaosT
     ));
     let mut engine = Engine::new(EngineConfig {
         faults: inj.clone(),
+        collector: Some(rec.clone()),
         ..EngineConfig::fast_test()
     });
-    engine.set_collector(engine_collector(rec));
     let out = engine.run_source_with(HOT).expect("script still serves");
     let fell_back = out
         .stats
@@ -479,11 +459,11 @@ fn cache_poison_rung(seed: u64, rec: &Arc<Mutex<Recorder>>) -> (LadderStep, Chao
     let mut engine = Engine::with_guard(
         EngineConfig {
             faults: inj.clone(),
+            collector: Some(rec.clone()),
             ..EngineConfig::fast_test()
         },
         Guard::new(db, PERMISSIVE),
     );
-    engine.set_collector(engine_collector(rec));
     let mix = jitbull_workloads::serving_mix();
     let serve_array = &mix
         .iter()

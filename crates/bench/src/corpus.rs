@@ -5,9 +5,8 @@
 //! run over these, and [`replay`] checks a production engine run round
 //! by round against the normative oracles and prices it under them.
 
-use std::cell::RefCell;
 use std::collections::HashSet;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use jitbull::{decide, Analysis, CompareConfig, Decision, DnaDatabase, Guard};
 use jitbull_frontend::parse_program;
@@ -164,7 +163,7 @@ impl Replay {
 }
 
 /// Keeps each [`Event::GuardAnalyzed`] as (function, cost), in order.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct GuardRounds(Vec<(String, u64)>);
 
 impl Collector for GuardRounds {
@@ -199,16 +198,16 @@ impl Collector for GuardRounds {
 /// dangerous slots, matches or DNA differ from the oracles'.
 pub fn replay(
     source: &str,
-    config: EngineConfig,
+    mut config: EngineConfig,
     db: &DnaDatabase,
     compare: CompareConfig,
 ) -> Replay {
     let vulns = config.vulns.clone();
-    let events = Rc::new(RefCell::new(GuardRounds::default()));
+    let events = Arc::new(Mutex::new(GuardRounds::default()));
+    config.collector = Some(events.clone());
     let mut engine = Engine::with_guard(config, Guard::new(db.clone(), compare));
-    engine.set_collector(events.clone());
     let outcome = engine.run_source_with(source);
-    let engine_rounds = std::mem::take(&mut events.borrow_mut().0);
+    let engine_rounds = std::mem::take(&mut events.lock().expect("rounds lock").0);
 
     let program = parse_program(source).expect("source parses");
     let module = compile_program(&program).expect("source compiles");

@@ -3,13 +3,12 @@
 //! pipeline, and the JITBULL guard reported about themselves — compiles,
 //! tier promotions, guard verdicts, and cycles by pipeline slot.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use jitbull::DnaDatabase;
 use jitbull_jit::engine::EngineConfig;
 use jitbull_telemetry::{Recorder, SlotStat};
-use jitbull_workloads::{run_workload, run_workload_observed, Workload};
+use jitbull_workloads::{run_workload, Workload};
 
 use crate::figures::db_with;
 
@@ -69,18 +68,18 @@ pub fn observe_workloads(workloads: &[Workload], n_vdcs: usize) -> (Vec<ObsRow>,
     let mut rows = Vec::new();
     let mut slots: Vec<SlotStat> = Vec::new();
     for w in workloads {
-        let rec = Rc::new(RefCell::new(Recorder::new()));
-        let m = run_workload_observed(
+        let rec = Arc::new(Mutex::new(Recorder::new()));
+        let m = run_workload(
             w,
             EngineConfig {
                 vulns: vulns.clone(),
+                collector: Some(rec.clone()),
                 ..Default::default()
             },
             Some(db.clone()),
-            rec.clone(),
         )
         .expect("workload runs");
-        let rec = rec.borrow();
+        let rec = rec.lock().expect("recorder lock");
         let met = rec.metrics();
         rows.push(ObsRow {
             name: w.name,
@@ -131,12 +130,13 @@ pub fn empty_db_overhead(w: &Workload) -> (u64, u64) {
     let plain = run_workload(w, EngineConfig::default(), None)
         .expect("plain run")
         .cycles;
-    let rec = Rc::new(RefCell::new(Recorder::new()));
-    let observed = run_workload_observed(
+    let observed = run_workload(
         w,
-        EngineConfig::default(),
+        EngineConfig {
+            collector: Some(Arc::new(Mutex::new(Recorder::new()))),
+            ..EngineConfig::default()
+        },
         Some(DnaDatabase::new()),
-        rec.clone(),
     )
     .expect("observed run")
     .cycles;

@@ -5,7 +5,6 @@ use std::cell::RefCell;
 
 use jitbull_chaos::{FaultInjector, FaultKind, FaultSite};
 use jitbull_mir::PassTrace;
-use jitbull_telemetry::{Collector, Event};
 
 use crate::compare::CompareConfig;
 use crate::db::DnaDatabase;
@@ -36,6 +35,13 @@ pub struct Analysis {
     /// The extracted DNA (kept so callers can install it into a DB —
     /// that's exactly how VDC DNA is produced in step 1).
     pub dna: Dna,
+    /// What the extraction did: memo hit, passes and chains enumerated
+    /// or skipped. Default for [`Guard::analyze_reference`], which keeps
+    /// no receipts.
+    pub extract_receipt: ExtractReceipt,
+    /// What the comparator query did: cache hit, prefilter rejects, set
+    /// merges. Default for [`Guard::analyze_reference`].
+    pub query_receipt: QueryReceipt,
 }
 
 /// JITBULL's runtime guard: database + comparator configuration.
@@ -166,9 +172,11 @@ impl Guard {
     /// of the incremental extractor, then the indexed comparator. Returns
     /// the same `dangerous` / `matches` / `dna` as the normative
     /// [`Guard::analyze_reference`]; only `cost_cycles` differs,
-    /// reflecting the work each actually does.
+    /// reflecting the work each actually does. The extraction and query
+    /// receipts ride along in the [`Analysis`] for the caller to report.
     pub fn analyze(&self, trace: &PassTrace, n_slots: usize) -> Analysis {
-        self.analyze_with_receipts(trace, n_slots).0
+        let (dna, extract_receipt) = self.extract_memoized(trace, n_slots);
+        self.compare_indexed(dna, extract_receipt)
     }
 
     /// Extraction: the shared memo answers a repeat compilation; a miss
@@ -201,16 +209,6 @@ impl Guard {
             self.memo.insert(k, dna.clone());
         }
         (dna, receipt)
-    }
-
-    fn analyze_with_receipts(
-        &self,
-        trace: &PassTrace,
-        n_slots: usize,
-    ) -> (Analysis, ExtractReceipt, QueryReceipt) {
-        let (dna, extract_receipt) = self.extract_memoized(trace, n_slots);
-        let (analysis, receipt) = self.compare_indexed(dna, extract_receipt.cost_cycles);
-        (analysis, extract_receipt, receipt)
     }
 
     /// The normative oracle for one trace: Algorithm 1
@@ -254,13 +252,16 @@ impl Guard {
             cost_cycles: cost,
             extract_cycles,
             dna,
+            extract_receipt: ExtractReceipt::default(),
+            query_receipt: QueryReceipt::default(),
         }
     }
 
     /// The indexed pipeline: ensure the index matches the database
     /// generation, query it (cache → prefilter → interned merges), and
     /// rebuild the entry-keyed result into the reference shape.
-    fn compare_indexed(&self, dna: Dna, extract_cycles: u64) -> (Analysis, QueryReceipt) {
+    fn compare_indexed(&self, dna: Dna, extract_receipt: ExtractReceipt) -> Analysis {
+        let extract_cycles = extract_receipt.cost_cycles;
         let mut cost = extract_cycles;
         let mut index = self.index.borrow_mut();
         if let Some(FaultKind::CachePoison) = self.faults.fire(FaultSite::ComparatorQuery) {
@@ -269,8 +270,8 @@ impl Guard {
             index.poison();
         }
         cost += index.ensure(&self.db);
-        let (hits, receipt) = index.query(&dna, &self.config);
-        cost += receipt.cost_cycles;
+        let (hits, query_receipt) = index.query(&dna, &self.config);
+        cost += query_receipt.cost_cycles;
         let entries = self.db.entries();
         let mut dangerous: Vec<usize> = Vec::new();
         let mut matches = Vec::new();
@@ -281,65 +282,15 @@ impl Guard {
         }
         dangerous.sort_unstable();
         dangerous.dedup();
-        (
-            Analysis {
-                dangerous,
-                matches,
-                cost_cycles: cost,
-                extract_cycles,
-                dna,
-            },
-            receipt,
-        )
-    }
-
-    /// Like [`Guard::analyze`], additionally reporting the analysis as an
-    /// [`Event::GuardAnalyzed`] to `collector`, preceded by an
-    /// [`Event::ExtractorQuery`] describing the memo/fast-path work and
-    /// an [`Event::ComparatorQuery`] describing the cache/prefilter
-    /// work.
-    pub fn analyze_observed(
-        &self,
-        trace: &PassTrace,
-        n_slots: usize,
-        collector: &mut dyn Collector,
-    ) -> Analysis {
-        let purges_before = self.index.borrow().stats().poison_purges;
-        let memo_purges_before = self.memo.stats().poison_purges;
-        let (analysis, extract_receipt, receipt) = self.analyze_with_receipts(trace, n_slots);
-        let stats_after = self.index.borrow().stats();
-        if stats_after.poison_purges > purges_before {
-            collector.record(Event::CachePoisonPurged {
-                rebuilds: stats_after.rebuilds,
-            });
+        Analysis {
+            dangerous,
+            matches,
+            cost_cycles: cost,
+            extract_cycles,
+            dna,
+            extract_receipt,
+            query_receipt,
         }
-        let memo_stats_after = self.memo.stats();
-        if memo_stats_after.poison_purges > memo_purges_before {
-            collector.record(Event::ExtractMemoPurged {
-                purges: memo_stats_after.poison_purges,
-            });
-        }
-        collector.record(Event::ExtractorQuery {
-            function: trace.function.clone(),
-            memo_hit: extract_receipt.memo_hit,
-            passes_enumerated: extract_receipt.passes_enumerated,
-            passes_skipped: extract_receipt.passes_skipped,
-            chains_enumerated: extract_receipt.chains_enumerated,
-            chains_skipped: extract_receipt.chains_skipped,
-        });
-        collector.record(Event::ComparatorQuery {
-            function: trace.function.clone(),
-            cache_hit: receipt.cache_hit,
-            prefilter_rejects: receipt.prefilter_rejects,
-            set_merges: receipt.set_merges,
-        });
-        collector.record(Event::GuardAnalyzed {
-            function: trace.function.clone(),
-            matches: analysis.matches.len() as u64,
-            dangerous: analysis.dangerous.len() as u64,
-            cost_cycles: analysis.cost_cycles,
-        });
-        analysis
     }
 
     /// Extracts DNA only (step 1: building database entries from a VDC
@@ -556,15 +507,17 @@ mod tests {
             0,
             1,
         )));
-        let mut rec = jitbull_telemetry::Recorder::new();
-        let analysis = guard.analyze_observed(&trace, 32, &mut rec);
+        let analysis = guard.analyze(&trace, 32);
         assert_eq!(
             analysis.dangerous,
             vec![6],
             "a poisoned cache must cost a rebuild, never a wrong verdict"
         );
         assert_eq!(guard.comparator_stats().poison_purges, 1);
-        assert_eq!(rec.metrics().counter("recovery.cache_poison_purged"), 1);
+        assert!(
+            !analysis.query_receipt.cache_hit,
+            "the receipt reports the purged cache as a miss"
+        );
         // The fault window is over: the next query is clean again.
         assert_eq!(guard.analyze(&trace, 32).dangerous, vec![6]);
         assert_eq!(guard.comparator_stats().poison_purges, 1);
@@ -625,15 +578,17 @@ mod tests {
             0,
             1,
         )));
-        let mut rec = jitbull_telemetry::Recorder::new();
-        let analysis = guard.analyze_observed(&trace, 32, &mut rec);
+        let analysis = guard.analyze(&trace, 32);
         assert_eq!(
             analysis.dangerous,
             vec![6],
             "a poisoned memo must cost a re-extraction, never a wrong verdict"
         );
         assert_eq!(guard.memo_stats().poison_purges, 1);
-        assert_eq!(rec.metrics().counter("recovery.extract_memo_purged"), 1);
+        assert!(
+            !analysis.extract_receipt.memo_hit,
+            "the receipt reports the purged memo as a miss"
+        );
         // The fault window is over: the next analysis re-warms cleanly.
         assert_eq!(guard.analyze(&trace, 32).dangerous, vec![6]);
         assert_eq!(guard.memo_stats().poison_purges, 1);

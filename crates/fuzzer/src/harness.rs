@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use jitbull::{CompareConfig, DnaDatabase, Guard};
 use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::VulnConfig;
-use jitbull_telemetry::{Collector, Event, NoopCollector};
+use jitbull_telemetry::{Collector, Event};
 use jitbull_vdc::dna::{extract_program_dna, extract_program_dna_with};
 use jitbull_vdc::validate::run_script;
 use jitbull_vdc::VdcOutcome;
@@ -50,28 +50,16 @@ pub fn campaign_engine(vulns: VulnConfig) -> EngineConfig {
 }
 
 /// Runs `count` seeds starting at `first_seed` against an engine with the
-/// given vulnerabilities, collecting every find.
+/// given vulnerabilities, collecting every find, and reports one
+/// [`Event::FuzzSeed`] per seed and a closing
+/// [`Event::FuzzCampaignFinished`] to `collector` (pass
+/// [`jitbull_telemetry::NoopCollector`] when nobody is watching).
 ///
 /// # Errors
 ///
 /// Propagates only harness-level failures (fuel exhaustion is treated as
 /// a non-find, parse errors cannot occur for generated programs).
 pub fn run_campaign(
-    first_seed: u64,
-    count: u64,
-    vulns: &VulnConfig,
-) -> Result<CampaignReport, VmError> {
-    run_campaign_observed(first_seed, count, vulns, &mut NoopCollector)
-}
-
-/// Like [`run_campaign`], additionally reporting one
-/// [`Event::FuzzSeed`] per seed and a closing
-/// [`Event::FuzzCampaignFinished`] to `collector`.
-///
-/// # Errors
-///
-/// Same as [`run_campaign`].
-pub fn run_campaign_observed(
     first_seed: u64,
     count: u64,
     vulns: &VulnConfig,
@@ -148,27 +136,13 @@ pub fn auto_install(
 /// actual pipeline configuration and install that too. Repeats until the
 /// find is neutralized or `max_rounds` is exhausted.
 ///
-/// Returns `true` when the find ends up neutralized.
+/// Returns `true` when the find ends up neutralized. Each protected
+/// re-run is reported to `collector` as one [`Event::TriageRound`].
 ///
 /// # Errors
 ///
 /// Propagates extraction/harness failures.
 pub fn install_until_neutralized(
-    db: &mut DnaDatabase,
-    find: &Find,
-    vulns: &VulnConfig,
-    max_rounds: usize,
-) -> Result<bool, VmError> {
-    install_until_neutralized_observed(db, find, vulns, max_rounds, &mut NoopCollector)
-}
-
-/// Like [`install_until_neutralized`], additionally reporting one
-/// [`Event::TriageRound`] per protected re-run to `collector`.
-///
-/// # Errors
-///
-/// Same as [`install_until_neutralized`].
-pub fn install_until_neutralized_observed(
     db: &mut DnaDatabase,
     find: &Find,
     vulns: &VulnConfig,
@@ -219,10 +193,46 @@ mod tests {
     use super::*;
     use jitbull::{CompareConfig, Guard};
     use jitbull_jit::CveId;
+    use jitbull_telemetry::{NoopCollector, Recorder};
+
+    /// Checks the triage telemetry of a neutralized find: one
+    /// `TriageRound` per protected re-run, numbered from 0, only the last
+    /// one neutralized, and each reporting the database size it ran with.
+    fn assert_triage_rounds(rec: &Recorder, find: &Find) {
+        let rounds: Vec<(u64, u64, bool)> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::TriageRound {
+                    seed,
+                    round,
+                    db_entries,
+                    neutralized,
+                } => {
+                    assert_eq!(*seed, find.seed);
+                    Some((*round, *db_entries, *neutralized))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(!rounds.is_empty(), "no triage round reported");
+        let m = rec.metrics();
+        assert_eq!(m.counter("triage.rounds"), rounds.len() as u64);
+        assert_eq!(m.counter("triage.neutralized"), 1);
+        for (i, (round, db_entries, neutralized)) in rounds.iter().enumerate() {
+            assert_eq!(*round, i as u64);
+            assert!(*db_entries > 0, "round {i} ran with an empty database");
+            assert_eq!(*neutralized, i + 1 == rounds.len(), "round {i}");
+        }
+        assert!(
+            rounds.windows(2).all(|w| w[0].1 < w[1].1),
+            "every further round must run with a larger database: {rounds:?}"
+        );
+    }
 
     fn first_find(vulns: &VulnConfig, max_seeds: u64) -> Find {
         for start in (0..max_seeds).step_by(64) {
-            let report = run_campaign(start, 64, vulns).expect("campaign runs");
+            let report = run_campaign(start, 64, vulns, &mut NoopCollector).expect("campaign runs");
             if let Some(f) = report.finds.into_iter().next() {
                 return f;
             }
@@ -233,7 +243,7 @@ mod tests {
     #[test]
     fn campaign_finds_crashers_on_a_vulnerable_engine() {
         let vulns = VulnConfig::all();
-        let report = run_campaign(0, 128, &vulns).expect("campaign runs");
+        let report = run_campaign(0, 128, &vulns, &mut NoopCollector).expect("campaign runs");
         assert_eq!(report.executed, 128);
         assert!(
             !report.finds.is_empty(),
@@ -244,9 +254,8 @@ mod tests {
 
     #[test]
     fn observed_campaign_counts_match_the_report() {
-        use jitbull_telemetry::Recorder;
         let mut rec = Recorder::new();
-        let report = run_campaign_observed(0, 64, &VulnConfig::all(), &mut rec).expect("campaign");
+        let report = run_campaign(0, 64, &VulnConfig::all(), &mut rec).expect("campaign");
         let m = rec.metrics();
         assert_eq!(m.counter("fuzz.seeds"), report.executed);
         assert_eq!(m.counter("fuzz.finds"), report.finds.len() as u64);
@@ -256,7 +265,8 @@ mod tests {
 
     #[test]
     fn campaign_is_quiet_on_a_patched_engine() {
-        let report = run_campaign(0, 128, &VulnConfig::none()).expect("campaign runs");
+        let report =
+            run_campaign(0, 128, &VulnConfig::none(), &mut NoopCollector).expect("campaign runs");
         assert!(
             report.finds.is_empty(),
             "patched engine produced {:?}",
@@ -269,12 +279,14 @@ mod tests {
         let vulns = VulnConfig::all();
         let find = first_find(&vulns, 512);
         let mut db = DnaDatabase::new();
-        let ok = install_until_neutralized(&mut db, &find, &vulns, 6).expect("triage");
+        let mut rec = Recorder::new();
+        let ok = install_until_neutralized(&mut db, &find, &vulns, 6, &mut rec).expect("triage");
         assert!(
             ok,
             "seed {} evaded the triage loop:\n{}",
             find.seed, find.source
         );
+        assert_triage_rounds(&rec, &find);
         // And the final database really does protect a fresh engine.
         let mut guarded = Engine::with_guard(
             campaign_engine(vulns.clone()),
@@ -304,8 +316,10 @@ mod tests {
             outcome: VdcOutcome::Crashed(String::new()),
         };
         let mut db = DnaDatabase::new();
-        let ok = install_until_neutralized(&mut db, &find, &vulns, 6).expect("triage");
+        let mut rec = Recorder::new();
+        let ok = install_until_neutralized(&mut db, &find, &vulns, 6, &mut rec).expect("triage");
         assert!(ok, "triage loop failed on the multi-vuln find");
+        assert_triage_rounds(&rec, &find);
     }
 
     #[test]
@@ -313,7 +327,7 @@ mod tests {
         // With only 17026 enabled, any find must involve a length
         // manipulation (the trigger requires setarraylength).
         let vulns = VulnConfig::with([CveId::Cve2019_17026]);
-        let report = run_campaign(0, 512, &vulns).expect("campaign runs");
+        let report = run_campaign(0, 512, &vulns, &mut NoopCollector).expect("campaign runs");
         for f in &report.finds {
             assert!(
                 f.source.contains(".length ="),

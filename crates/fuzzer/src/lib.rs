@@ -29,8 +29,5 @@ pub mod harness;
 pub mod minimize;
 
 pub use gen::{generate, GenConfig};
-pub use harness::{
-    auto_install, install_until_neutralized, install_until_neutralized_observed, run_campaign,
-    run_campaign_observed, CampaignReport, Find,
-};
+pub use harness::{auto_install, install_until_neutralized, run_campaign, CampaignReport, Find};
 pub use minimize::{minimize, MinimizeError};

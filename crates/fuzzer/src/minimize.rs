@@ -122,6 +122,7 @@ mod tests {
     use super::*;
     use crate::gen::{generate_complete, GenConfig};
     use crate::run_campaign;
+    use jitbull_telemetry::NoopCollector;
     use jitbull_vdc::VdcOutcome;
 
     fn body_statements(source: &str) -> usize {
@@ -136,7 +137,7 @@ mod tests {
     #[test]
     fn minimized_find_still_compromises_and_is_smaller_or_equal() {
         let vulns = VulnConfig::all();
-        let report = run_campaign(0, 96, &vulns).expect("campaign");
+        let report = run_campaign(0, 96, &vulns, &mut NoopCollector).expect("campaign");
         let find = report.finds.first().expect("at least one find").clone();
         let min = minimize(&find, &vulns).expect("a campaign find reproduces");
         assert!(
@@ -153,7 +154,7 @@ mod tests {
     #[test]
     fn minimization_strips_benign_filler() {
         let vulns = VulnConfig::all();
-        let report = run_campaign(0, 96, &vulns).expect("campaign");
+        let report = run_campaign(0, 96, &vulns, &mut NoopCollector).expect("campaign");
         let find = report.finds.first().expect("at least one find");
         let min = minimize(find, &vulns).expect("a campaign find reproduces");
         let (before, after) = (body_statements(&find.source), body_statements(&min.source));

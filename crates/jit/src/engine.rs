@@ -14,16 +14,16 @@
 //! an empty database no snapshots are taken at all — the zero-overhead
 //! property of §V.
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::PoisonError;
 
-use jitbull::{decide, Decision, DnaMemo, Guard};
+use jitbull::{decide, Analysis, Decision, DnaMemo, Guard};
 use jitbull_chaos::{FaultInjector, Quarantine};
 use jitbull_frontend::parse_program;
 use jitbull_lir::IonCode;
 use jitbull_mir::build_mir;
-use jitbull_telemetry::{Collector, Event, Tier};
+use jitbull_telemetry::{Event, SharedCollector, Tier};
 use jitbull_vm::bytecode::{FuncId, Module};
 use jitbull_vm::interp;
 use jitbull_vm::runtime::{ExploitStatus, Outcome, Runtime, BASELINE_COST, INTERP_COST};
@@ -37,7 +37,11 @@ const BASELINE_COMPILE_COST: u64 = 15;
 /// Cycle cost charged per unit of pipeline work for an Ion compilation.
 const ION_COMPILE_COST: u64 = 4;
 
-/// Engine configuration.
+/// Engine configuration: tier thresholds, the vulnerability set, policy
+/// knobs, and the shared handles (DNA memo, fault injector, quarantine,
+/// telemetry collector) that cloning the config shares rather than
+/// copies, which is how the serving pool gives every worker's engine the
+/// same ones.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Invocations before baseline compilation (paper: 100).
@@ -75,6 +79,14 @@ pub struct EngineConfig {
     /// pool hands every worker the same list so quarantine survives
     /// across requests.
     pub quarantine: Quarantine,
+    /// Telemetry collector. When set, compilations, pass applications,
+    /// guard analyses, policy verdicts, recoveries and run outcomes are
+    /// reported through it; when `None` no event is even constructed and
+    /// the pipeline skips its per-slot bookkeeping, so observability
+    /// costs nothing unless asked for and never moves the cycle model.
+    /// Cloning the config clones the handle, so a pool's workers all
+    /// report into the pool's recorder.
+    pub collector: Option<SharedCollector>,
 }
 
 impl Default for EngineConfig {
@@ -91,6 +103,7 @@ impl Default for EngineConfig {
             faults: FaultInjector::disabled(),
             watchdog_budget: None,
             quarantine: Quarantine::default(),
+            collector: None,
         }
     }
 }
@@ -166,6 +179,11 @@ fn state_of(state: &mut Vec<FuncState>, func: FuncId) -> &mut FuncState {
 
 /// The tiered engine. Implements [`Dispatcher`], so it can be handed to
 /// `interp::run_module` directly.
+///
+/// It is the one emitter of compile-path telemetry: the pipeline and the
+/// guard return what they did (slot runs, extraction and query receipts)
+/// and the engine decides which events that becomes, in what order,
+/// through [`EngineConfig::collector`].
 pub struct Engine {
     config: EngineConfig,
     guard: Option<Guard>,
@@ -181,7 +199,6 @@ pub struct Engine {
     pub compile_failures: u64,
     /// Watchdog expiries among those failures.
     pub watchdog_expiries: u64,
-    collector: Option<Rc<RefCell<dyn Collector>>>,
 }
 
 impl Engine {
@@ -194,7 +211,6 @@ impl Engine {
             analysis_cycles: 0,
             compile_failures: 0,
             watchdog_expiries: 0,
-            collector: None,
         }
     }
 
@@ -213,24 +229,63 @@ impl Engine {
             analysis_cycles: 0,
             compile_failures: 0,
             watchdog_expiries: 0,
-            collector: None,
         }
     }
 
-    /// Attaches a telemetry collector: subsequent compilations, guard
-    /// analyses, policy verdicts, and run outcomes are reported through
-    /// it. Without a collector no event is even constructed, and the
-    /// pipeline skips its per-slot bookkeeping — observability costs
-    /// nothing unless asked for.
-    pub fn set_collector(&mut self, collector: Rc<RefCell<dyn Collector>>) {
-        self.collector = Some(collector);
-    }
-
+    /// Records the event `make` builds through [`EngineConfig::collector`],
+    /// building nothing when no collector is attached.
     #[inline]
     fn emit(&self, make: impl FnOnce() -> Event) {
-        if let Some(c) = &self.collector {
-            c.borrow_mut().record(make());
+        if let Some(c) = &self.config.collector {
+            c.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .record(make());
         }
+    }
+
+    /// Reports one guard analysis under one collector lock: a
+    /// comparator-cache or DNA-memo purge it recovered from
+    /// (`purges_before` holds both poison-purge counters as read before
+    /// the analysis), then its extractor and comparator receipts and its
+    /// verdict.
+    fn emit_analysis(&self, function: &str, purges_before: (u64, u64), analysis: &Analysis) {
+        let (Some(c), Some(guard)) = (&self.config.collector, &self.guard) else {
+            return;
+        };
+        let index = guard.comparator_stats();
+        let memo_purges = guard.memo_stats().poison_purges;
+        let (x, q) = (analysis.extract_receipt, analysis.query_receipt);
+        let mut col = c.lock().unwrap_or_else(PoisonError::into_inner);
+        if index.poison_purges > purges_before.0 {
+            col.record(Event::CachePoisonPurged {
+                rebuilds: index.rebuilds,
+            });
+        }
+        if memo_purges > purges_before.1 {
+            col.record(Event::ExtractMemoPurged {
+                purges: memo_purges,
+            });
+        }
+        col.record(Event::ExtractorQuery {
+            function: function.to_owned(),
+            memo_hit: x.memo_hit,
+            passes_enumerated: x.passes_enumerated,
+            passes_skipped: x.passes_skipped,
+            chains_enumerated: x.chains_enumerated,
+            chains_skipped: x.chains_skipped,
+        });
+        col.record(Event::ComparatorQuery {
+            function: function.to_owned(),
+            cache_hit: q.cache_hit,
+            prefilter_rejects: q.prefilter_rejects,
+            set_merges: q.set_merges,
+        });
+        col.record(Event::GuardAnalyzed {
+            function: function.to_owned(),
+            matches: analysis.matches.len() as u64,
+            dangerous: analysis.dangerous.len() as u64,
+            cost_cycles: analysis.cost_cycles,
+        });
     }
 
     /// The installed guard, if any.
@@ -407,7 +462,7 @@ impl Engine {
             let options = OptimizeOptions {
                 trace: jitbull_active,
                 disabled_slots: disabled.clone(),
-                stats: self.collector.is_some(),
+                stats: self.config.collector.is_some(),
                 faults: self.config.faults.clone(),
             };
             let vulns = &self.config.vulns;
@@ -433,8 +488,8 @@ impl Engine {
             }
             rt.add_cycles(round_cost);
             spent += round_cost;
-            if let Some(c) = &self.collector {
-                let mut col = c.borrow_mut();
+            if let Some(c) = &self.config.collector {
+                let mut col = c.lock().unwrap_or_else(PoisonError::into_inner);
                 for run in &result.slot_runs {
                     col.record(Event::PassApplied {
                         slot: run.slot,
@@ -472,10 +527,17 @@ impl Engine {
                 return;
             }
             let guard = self.guard.as_ref().expect("guard present");
-            let analysis = match &self.collector {
-                Some(c) => guard.analyze_observed(&result.trace, N_SLOTS, &mut *c.borrow_mut()),
-                None => guard.analyze(&result.trace, N_SLOTS),
-            };
+            // Purge counters are read only when someone is watching.
+            let purges_before = self.config.collector.as_ref().map(|_| {
+                (
+                    guard.comparator_stats().poison_purges,
+                    guard.memo_stats().poison_purges,
+                )
+            });
+            let analysis = guard.analyze(&result.trace, N_SLOTS);
+            if let Some(before) = purges_before {
+                self.emit_analysis(&result.trace.function, before, &analysis);
+            }
             if let Some(budget) = self.config.watchdog_budget {
                 if spent.saturating_add(analysis.cost_cycles) > budget {
                     self.watchdog_expire(rt, func, &name, matched, budget, spent);
@@ -784,13 +846,18 @@ mod tests {
     fn collector_sees_the_run_without_changing_cycles() {
         use jitbull_telemetry::Recorder;
         let plain = Engine::run_source(SUM_LOOP, EngineConfig::fast_test()).unwrap();
-        let mut engine = Engine::new(EngineConfig::fast_test());
-        let rec = Rc::new(RefCell::new(Recorder::new()));
-        engine.set_collector(rec.clone());
-        let observed = engine.run_source_with(SUM_LOOP).unwrap();
+        let rec = std::sync::Arc::new(std::sync::Mutex::new(Recorder::new()));
+        let observed = Engine::run_source(
+            SUM_LOOP,
+            EngineConfig {
+                collector: Some(rec.clone()),
+                ..EngineConfig::fast_test()
+            },
+        )
+        .unwrap();
         // Observation must not perturb the simulated cycle model.
         assert_eq!(observed.outcome.cycles, plain.outcome.cycles);
-        let rec = rec.borrow();
+        let rec = rec.lock().unwrap();
         let m = rec.metrics();
         assert_eq!(m.counter("engine.compile.ion"), 1);
         assert_eq!(m.counter("engine.promoted.ion"), 1);

@@ -52,5 +52,5 @@ pub mod swap;
 mod worker;
 
 pub use error::PoolError;
-pub use pool::{Pool, PoolConfig, PoolResponse, PoolStats, Request, SharedCollector, Ticket};
+pub use pool::{Pool, PoolConfig, PoolResponse, PoolStats, Request, Ticket};
 pub use swap::EpochCell;

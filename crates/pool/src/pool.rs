@@ -9,16 +9,12 @@ use jitbull::{CompareConfig, DbError, Dna, DnaDatabase, DnaMemo, LoadMode, LoadR
 use jitbull_chaos::retry::{retry_with, RetryPolicy};
 use jitbull_chaos::{BreakerConfig, BreakerStats, CircuitBreaker, FaultInjector, Quarantine};
 use jitbull_jit::engine::EngineConfig;
-use jitbull_telemetry::{Collector, Event};
+use jitbull_telemetry::{Event, SharedCollector};
 
 use crate::error::PoolError;
 use crate::queue::{BoundedQueue, PushError};
 use crate::swap::EpochCell;
 use crate::worker;
-
-/// Shared dyn-collector handle: workers, publishers, and the submit path
-/// all record into the same recorder.
-pub type SharedCollector = Arc<Mutex<dyn Collector + Send>>;
 
 /// Native stack of each worker thread. Every nested script call nests
 /// native frames, and running out of native stack aborts the process,
@@ -72,7 +68,8 @@ pub struct Request {
     /// The script source to execute.
     pub source: String,
     /// Per-request engine configuration (tier thresholds, vulnerability
-    /// set, watchdog budget, …).
+    /// set, watchdog budget, …). The worker replaces its shared handles
+    /// (`memo`, `faults`, `quarantine`, `collector`) with the pool's.
     pub config: EngineConfig,
     /// Maximum time the request may wait in the queue before the worker
     /// degrades it to interpreter-only execution (`None` = never).
@@ -296,22 +293,6 @@ pub struct PoolStats {
     pub hotswaps: u64,
     /// Simulated busy cycles per worker.
     pub worker_cycles: Vec<u64>,
-}
-
-impl PoolStats {
-    /// Load-balance quality: total busy simulated cycles divided by the
-    /// busiest worker's cycles. Equals the worker count under perfect
-    /// balance and 1.0 when one worker did everything — the pool's
-    /// scaling headline on any host, independent of physical core count.
-    #[must_use]
-    pub fn cycle_speedup(&self) -> f64 {
-        let total: u64 = self.worker_cycles.iter().sum();
-        let max = self.worker_cycles.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            return 0.0;
-        }
-        total as f64 / max as f64
-    }
 }
 
 /// The concurrent script-serving runtime.

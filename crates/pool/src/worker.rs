@@ -2,9 +2,7 @@
 //! execute → respond. Panics are isolated per worker and recovered by an
 //! in-thread supervisor that rebuilds the worker's state from scratch.
 
-use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
-use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -12,10 +10,10 @@ use std::time::Instant;
 use jitbull::{CompareConfig, DnaDatabase, DnaMemo, Guard};
 use jitbull_chaos::{CircuitBreaker, FaultInjector, FaultKind, FaultSite, Quarantine};
 use jitbull_jit::engine::Engine;
-use jitbull_telemetry::{Collector, Event};
+use jitbull_telemetry::{Event, SharedCollector};
 
 use crate::error::PoolError;
-use crate::pool::{Job, PoolResponse, SharedCollector, StatsInner};
+use crate::pool::{Job, PoolResponse, StatsInner};
 use crate::queue::BoundedQueue;
 use crate::swap::EpochCell;
 
@@ -32,21 +30,6 @@ pub(crate) struct WorkerCtx {
     pub(crate) breaker: CircuitBreaker,
     pub(crate) quarantine: Quarantine,
     pub(crate) drain_by: Arc<OnceLock<Instant>>,
-}
-
-/// Adapts the pool's `Arc<Mutex<_>>` shared collector to the engine's
-/// thread-local `Rc<RefCell<dyn Collector>>` slot, so engine-level
-/// recovery events (watchdog expiries, quarantines, injected faults)
-/// surface in the pool's recorder.
-struct Forward(SharedCollector);
-
-impl Collector for Forward {
-    fn record(&mut self, event: Event) {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(event);
-    }
 }
 
 impl WorkerCtx {
@@ -139,8 +122,12 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
     // Thread the pool-wide chaos/recovery state through the engine: the
     // injector reaches the pipeline, extractor, and comparator, and
     // quarantine strikes accumulate across requests and worker respawns.
+    // The engine reports into the pool's collector, so its recovery
+    // events (watchdog expiries, quarantines, injected faults) land in
+    // the pool's recorder.
     config.faults = ctx.faults.clone();
     config.quarantine = ctx.quarantine.clone();
+    config.collector = ctx.collector.clone();
     // The pool's shared DNA memo is authoritative: every worker
     // memoizes into (and hits from) the same store, and the memo
     // outlives snapshot swaps because extraction never reads the VDC
@@ -166,9 +153,6 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
         .take()
         .unwrap_or_else(|| Guard::new((*db).clone(), ctx.compare));
     let mut engine = Engine::with_guard(config, guard);
-    if let Some(shared) = &ctx.collector {
-        engine.set_collector(Rc::new(RefCell::new(Forward(Arc::clone(shared)))));
-    }
     let started = Instant::now();
     let result = engine.run_source_with(&request.source);
     let run_micros = started.elapsed().as_micros() as u64;

@@ -15,13 +15,17 @@
 //!   ([`metrics`]), updated automatically as events arrive;
 //! * [`export`] — text and JSON renderings of a [`Recorder`]'s state.
 //!
-//! The engine-facing surface is the [`Collector`] trait. Producers hold
-//! an `Option<Rc<RefCell<dyn Collector>>>` and skip event construction
-//! entirely when none is attached, so an unobserved engine does no
-//! telemetry work at all — preserving the paper's zero-overhead
-//! empty-database property (§V). [`NoopCollector`] exists for call sites
-//! that want a `&mut dyn Collector` unconditionally; its `record` is an
-//! empty inline function.
+//! The engine-facing surface is the [`Collector`] trait, reached through
+//! one handle type, [`SharedCollector`]. The engine carries an
+//! `Option<SharedCollector>` in its configuration and skips event
+//! construction entirely when none is attached, so an unobserved engine
+//! does no telemetry work at all — preserving the paper's zero-overhead
+//! empty-database property (§V). The serving pool hands its workers'
+//! engines the pool's own handle, so engine and pool events land in one
+//! recorder. Functions that report without an engine (fuzz campaigns,
+//! triage) take a `&mut dyn Collector`; [`NoopCollector`] is what callers
+//! pass when nobody is watching, and its `record` is an empty inline
+//! function.
 //!
 //! # Examples
 //!
@@ -36,6 +40,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::{Arc, Mutex};
+
 pub mod event;
 pub mod export;
 pub mod metrics;
@@ -48,10 +54,16 @@ pub use ring::RingBuffer;
 
 /// Receives telemetry events. Implemented by [`Recorder`] (stores and
 /// aggregates) and [`NoopCollector`] (discards).
-pub trait Collector {
+pub trait Collector: std::fmt::Debug {
     /// Ingests one event.
     fn record(&mut self, event: Event);
 }
+
+/// The one shared collector handle: engines, pool workers, publishers
+/// and the pool's submit path all record through it, taking the lock
+/// once per event. An `Arc<Mutex<Recorder>>` coerces to it, so the owner
+/// keeps typed access to the recorder it attached.
+pub type SharedCollector = Arc<Mutex<dyn Collector + Send>>;
 
 /// A collector that discards everything. `record` is an empty `#[inline]`
 /// body, so passing it compiles down to nothing.

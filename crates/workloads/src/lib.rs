@@ -22,5 +22,5 @@
 pub mod runner;
 pub mod suite;
 
-pub use runner::{run_workload, run_workload_observed, Measurement};
+pub use runner::{run_workload, Measurement};
 pub use suite::{all_workloads, microbenches, octane_analogues, serving_mix, workload, Workload};

@@ -1,12 +1,8 @@
 //! Running workloads under configurable engines and collecting the
 //! measurements the paper's figures are built from.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use jitbull::{CompareConfig, DnaDatabase, Guard};
 use jitbull_jit::engine::{Engine, EngineConfig, EngineOutcome};
-use jitbull_telemetry::Collector;
 use jitbull_vm::VmError;
 
 use crate::suite::Workload;
@@ -71,7 +67,8 @@ impl Measurement {
 }
 
 /// Runs one workload on an engine with the given configuration and an
-/// optional JITBULL database.
+/// optional JITBULL database. A collector in
+/// [`EngineConfig::collector`] observes the run.
 ///
 /// # Errors
 ///
@@ -83,30 +80,6 @@ pub fn run_workload(
     config: EngineConfig,
     db: Option<DnaDatabase>,
 ) -> Result<Measurement, VmError> {
-    run_inner(w, config, db, None)
-}
-
-/// Like [`run_workload`], with a telemetry collector attached to the
-/// engine for the duration of the run.
-///
-/// # Errors
-///
-/// Same as [`run_workload`].
-pub fn run_workload_observed(
-    w: &Workload,
-    config: EngineConfig,
-    db: Option<DnaDatabase>,
-    collector: Rc<RefCell<dyn Collector>>,
-) -> Result<Measurement, VmError> {
-    run_inner(w, config, db, Some(collector))
-}
-
-fn run_inner(
-    w: &Workload,
-    config: EngineConfig,
-    db: Option<DnaDatabase>,
-    collector: Option<Rc<RefCell<dyn Collector>>>,
-) -> Result<Measurement, VmError> {
     let mut engine = match db {
         Some(db) => {
             let guard = Guard::new(db, CompareConfig::default());
@@ -114,9 +87,6 @@ fn run_inner(
         }
         None => Engine::new(config),
     };
-    if let Some(c) = collector {
-        engine.set_collector(c);
-    }
     let out = engine.run_source_with(&w.source)?;
     if out.outcome.status.is_compromised() {
         return Err(VmError::Crash(format!(

@@ -20,13 +20,14 @@ use jitbull_fuzzer::harness::campaign_engine;
 use jitbull_fuzzer::{install_until_neutralized, minimize, run_campaign};
 use jitbull_jit::engine::Engine;
 use jitbull_jit::VulnConfig;
+use jitbull_telemetry::NoopCollector;
 use jitbull_vdc::validate::run_script;
 
 fn main() -> Result<(), jitbull_vm::VmError> {
     let vulns = VulnConfig::all();
 
     println!("fuzzing 256 seeds against the vulnerable engine…");
-    let report = run_campaign(0, 256, &vulns)?;
+    let report = run_campaign(0, 256, &vulns, &mut NoopCollector)?;
     println!(
         "  {} programs ran, {} security-relevant finds\n",
         report.executed,
@@ -43,7 +44,7 @@ fn main() -> Result<(), jitbull_vm::VmError> {
             find.source.len(),
             min.source.len()
         );
-        let neutralized = install_until_neutralized(&mut db, &min, &vulns, 6)?;
+        let neutralized = install_until_neutralized(&mut db, &min, &vulns, 6, &mut NoopCollector)?;
         println!(
             "           DNA installed (db now {} entries); triage loop: {}",
             db.len(),

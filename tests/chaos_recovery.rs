@@ -5,8 +5,7 @@
 //! The `#[ignore]` soak at the bottom sweeps many seeds at production
 //! fault rates (CI runs it in release via `-- --ignored`).
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use jitbull::{CompareConfig, DnaDatabase, Guard, LoadMode};
@@ -429,7 +428,7 @@ fn partial_mode_skips_malformed_entries_with_line_numbers() {
 /// and rebuilt — the poisoned sentinel verdict is never served.
 #[test]
 fn cache_poison_is_purged_not_served() {
-    let rec = Rc::new(RefCell::new(Recorder::new()));
+    let rec = Arc::new(Mutex::new(Recorder::new()));
     let inj = FaultInjector::from_plan(FaultPlan::new(9).script(
         FaultSite::ComparatorQuery,
         FaultKind::CachePoison,
@@ -439,17 +438,18 @@ fn cache_poison_is_purged_not_served() {
     let mut engine = Engine::with_guard(
         EngineConfig {
             faults: inj.clone(),
+            collector: Some(rec.clone()),
             ..EngineConfig::fast_test()
         },
         Guard::new(db_17026(), PERMISSIVE),
     );
-    engine.set_collector(rec.clone());
     let out = engine
         .run_source_with(&serving_source("ServeArray"))
         .expect("script still serves");
     assert_eq!(inj.tally().get("cache_poison"), 1);
     assert!(
-        rec.borrow()
+        rec.lock()
+            .unwrap()
             .metrics()
             .counter("recovery.cache_poison_purged")
             >= 1,

@@ -204,8 +204,7 @@ fn quarantined_functions_never_compile_hence_never_touch_the_memo() {
 #[test]
 fn extract_query_poison_recovers_with_telemetry_and_correct_verdicts() {
     use jitbull_telemetry::Recorder;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::sync::{Arc, Mutex};
 
     let memo = DnaMemo::default();
     let src = serve_array_source();
@@ -226,9 +225,9 @@ fn extract_query_poison_recovers_with_telemetry_and_correct_verdicts() {
         0,
         1,
     ));
+    let rec = Arc::new(Mutex::new(Recorder::new()));
+    config.collector = Some(rec.clone());
     let mut poisoned = guarded_engine(config);
-    let rec = Rc::new(RefCell::new(Recorder::new()));
-    poisoned.set_collector(rec.clone());
     let out = poisoned.run_source_with(&src).unwrap();
     assert_eq!(out.outcome.printed, clean.outcome.printed);
     assert_eq!(out.nr_disjit, clean.nr_disjit, "verdicts survive the purge");
@@ -238,7 +237,7 @@ fn extract_query_poison_recovers_with_telemetry_and_correct_verdicts() {
         stats.hits, warm.hits,
         "a poisoned store must re-extract, never serve garbage"
     );
-    let rec = rec.borrow();
+    let rec = rec.lock().unwrap();
     assert_eq!(
         rec.metrics().counter("recovery.extract_memo_purged"),
         1,

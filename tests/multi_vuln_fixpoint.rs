@@ -17,6 +17,7 @@ use jitbull_fuzzer::harness::{campaign_engine, install_until_neutralized};
 use jitbull_fuzzer::Find;
 use jitbull_jit::engine::Engine;
 use jitbull_jit::{CveId, VulnConfig};
+use jitbull_telemetry::{Event, Recorder};
 use jitbull_vdc::dna::extract_program_dna;
 use jitbull_vdc::validate::run_script;
 use jitbull_vdc::VdcOutcome;
@@ -85,8 +86,32 @@ fn iterated_extraction_reaches_a_protective_fixpoint() {
         source: TWO_VULN_SOURCE.to_string(),
         outcome: VdcOutcome::Crashed(String::new()),
     };
-    let neutralized = install_until_neutralized(&mut db, &find, &vulns, 6).unwrap();
+    let mut rec = Recorder::new();
+    let neutralized = install_until_neutralized(&mut db, &find, &vulns, 6, &mut rec).unwrap();
     assert!(neutralized, "triage loop failed to converge");
+    // One `TriageRound` per protected re-run: the first still
+    // compromised (the shadowed bug fires), the last neutralized.
+    let rounds: Vec<(u64, bool)> = rec
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::TriageRound {
+                round, neutralized, ..
+            } => Some((*round, *neutralized)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        rounds.len() >= 2,
+        "expected ≥2 protected re-runs: {rounds:?}"
+    );
+    assert!(rounds.iter().enumerate().all(|(i, (r, _))| *r == i as u64));
+    assert_eq!(
+        rounds.iter().map(|(_, n)| *n).collect::<Vec<_>>(),
+        [vec![false; rounds.len() - 1], vec![true]].concat()
+    );
+    assert_eq!(rec.metrics().counter("triage.rounds"), rounds.len() as u64);
+    assert_eq!(rec.metrics().counter("triage.neutralized"), 1);
     // The final database carries more than the first round's entries.
     assert!(
         db.len() >= 2,

@@ -10,10 +10,9 @@
 //!
 //! and explain the diff in the change that makes it.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use jitbull::{CompareConfig, DnaDatabase, Guard};
 use jitbull_bench::figures::db_with;
@@ -22,21 +21,24 @@ use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::CveId;
 use jitbull_telemetry::{export_text, Event, Recorder, Tier};
 use jitbull_vdc::{build_database, vdc};
-use jitbull_workloads::{microbenches, run_workload, run_workload_observed, serving_mix};
+use jitbull_workloads::{microbenches, run_workload, serving_mix};
 
-fn recorder() -> Rc<RefCell<Recorder>> {
+fn recorder() -> Arc<Mutex<Recorder>> {
     // Generous capacity so no event is dropped and counters can be
     // cross-checked against the raw stream.
-    Rc::new(RefCell::new(Recorder::with_capacity(1 << 16)))
+    Arc::new(Mutex::new(Recorder::with_capacity(1 << 16)))
 }
 
 #[test]
 fn ion_promotions_match_ion_compiles_on_a_clean_engine() {
     for w in microbenches() {
         let rec = recorder();
-        let m = run_workload_observed(&w, EngineConfig::default(), None, rec.clone())
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let rec = rec.borrow();
+        let config = EngineConfig {
+            collector: Some(rec.clone()),
+            ..EngineConfig::default()
+        };
+        let m = run_workload(&w, config, None).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let rec = rec.lock().unwrap();
         let met = rec.metrics();
         // No guard, harmless code: every optimizing compile promotes.
         assert_eq!(
@@ -71,17 +73,17 @@ fn verdicts_partition_analyses_under_jitbull() {
     let (db, vulns) = db_with(4);
     for w in microbenches() {
         let rec = recorder();
-        run_workload_observed(
+        run_workload(
             &w,
             EngineConfig {
                 vulns: vulns.clone(),
+                collector: Some(rec.clone()),
                 ..Default::default()
             },
             Some(db.clone()),
-            rec.clone(),
         )
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let rec = rec.borrow();
+        let rec = rec.lock().unwrap();
         let met = rec.metrics();
         let analyses = met.counter("guard.analyses");
         assert!(analyses > 0, "{}: guard never ran", w.name);
@@ -107,17 +109,19 @@ fn empty_db_observation_is_cycle_neutral_and_guard_silent() {
     let benches = microbenches();
     let plain = run_workload(&benches[0], EngineConfig::default(), None).unwrap();
     let rec = recorder();
-    let observed = run_workload_observed(
+    let observed = run_workload(
         &benches[0],
-        EngineConfig::default(),
+        EngineConfig {
+            collector: Some(rec.clone()),
+            ..EngineConfig::default()
+        },
         Some(DnaDatabase::new()),
-        rec.clone(),
     )
     .unwrap();
     // Attaching a recorder must not perturb the simulated cycle model —
     // the paper's zero-overhead empty-DB property survives observation.
     assert_eq!(plain.cycles, observed.cycles);
-    let rec = rec.borrow();
+    let rec = rec.lock().unwrap();
     let met = rec.metrics();
     // With no VDCs installed the guard and policy never run.
     assert_eq!(met.counter("guard.analyses"), 0);
@@ -175,18 +179,18 @@ fn guarded_event_stream_matches_golden() {
             .script(FaultSite::ExtractQuery, FaultKind::CachePoison, 1, 1),
     );
     let db = build_database(&[vdc(CveId::Cve2019_17026)]).expect("vdc database builds");
+    let rec = recorder();
     let mut engine = Engine::with_guard(
         EngineConfig {
             faults: faults.clone(),
+            collector: Some(rec.clone()),
             ..EngineConfig::fast_test()
         },
         Guard::new(db, CompareConfig { thr: 1, ratio: 0.5 }),
     );
-    let rec = recorder();
-    engine.set_collector(rec.clone());
     engine.run_source_with(source).expect("script serves");
     assert_eq!(faults.tally().get("cache_poison"), 2, "both faults fired");
-    let rec = rec.borrow();
+    let rec = rec.lock().unwrap();
     assert_eq!(rec.events().dropped(), 0);
     let actual = export_text(&rec);
 
